@@ -27,6 +27,8 @@ int64_t ExecutionEngine::StartInstance(const SourceBinding& sources,
   inst->snapshot.BindSources(sources);
   inst->launched.assign(static_cast<size_t>(schema_->num_attributes()), 0);
   inst->speculative.assign(static_cast<size_t>(schema_->num_attributes()), 0);
+  inst->fresh.reserve(static_cast<size_t>(schema_->num_attributes()));
+  inst->selected.reserve(static_cast<size_t>(schema_->num_attributes()));
   inst->profiled = profiler_ != nullptr && profiler_->Sampled(instance_seed);
   inst->metrics.start_time = sim_->now();
   inst->inflight_mark = sim_->now();
@@ -60,14 +62,12 @@ void ExecutionEngine::Step(Instance* inst) {
 
   // Scheduling phase: filter already-launched tasks, then apply the
   // heuristic and the %Permitted parallelism cap.
-  std::vector<AttributeId> fresh;
-  fresh.reserve(inst->prequalifier.candidates().size());
+  inst->fresh.clear();
   for (AttributeId a : inst->prequalifier.candidates()) {
-    if (inst->launched[static_cast<size_t>(a)] == 0) fresh.push_back(a);
+    if (inst->launched[static_cast<size_t>(a)] == 0) inst->fresh.push_back(a);
   }
-  for (AttributeId a : scheduler_.SelectForLaunch(fresh, inst->in_flight)) {
-    Launch(inst, a);
-  }
+  scheduler_.SelectForLaunch(inst->fresh, inst->in_flight, &inst->selected);
+  for (AttributeId a : inst->selected) Launch(inst, a);
 }
 
 void ExecutionEngine::Launch(Instance* inst, AttributeId attr) {

@@ -79,6 +79,10 @@ class ExecutionEngine {
     std::vector<char> launched;
     // Per-attribute flag: launched while READY (condition still open).
     std::vector<char> speculative;
+    // Scheduling-phase scratch, reused by every Step of this instance:
+    // unlaunched candidates, and the subset the scheduler picks.
+    std::vector<AttributeId> fresh;
+    std::vector<AttributeId> selected;
     bool profiled = false;
     int in_flight = 0;
     sim::Time inflight_mark = 0;

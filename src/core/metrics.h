@@ -34,7 +34,9 @@ struct InstanceMetrics {
   // Attributes whose tasks were skipped because backward propagation proved
   // them unneeded (never entered the candidate pool though runnable).
   int unneeded_skipped = 0;
-  // Prequalifier passes executed (each is linear in schema size).
+  // Prequalifier passes executed: one at instance start and one per query
+  // completion. The first visits every attribute; each later pass visits
+  // only the attributes its completion affected (see core/prequalifier.h).
   int prequalifier_passes = 0;
 
   // Time-integral of the number of in-flight queries; divided by the

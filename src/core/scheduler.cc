@@ -4,9 +4,11 @@
 
 namespace dflow::core {
 
-std::vector<AttributeId> Scheduler::SelectForLaunch(
-    const std::vector<AttributeId>& candidates, int in_flight) const {
-  if (candidates.empty()) return {};
+void Scheduler::SelectForLaunch(const std::vector<AttributeId>& candidates,
+                                int in_flight,
+                                std::vector<AttributeId>* out) const {
+  out->clear();
+  if (candidates.empty()) return;
 
   const int pool = static_cast<int>(candidates.size()) + in_flight;
   const int target =
@@ -14,19 +16,21 @@ std::vector<AttributeId> Scheduler::SelectForLaunch(
   const int allowed =
       std::min(static_cast<int>(candidates.size()),
                std::max(0, target - in_flight));
-  if (allowed <= 0) return {};
+  if (allowed <= 0) return;
 
-  std::vector<AttributeId> ordered = candidates;
+  out->assign(candidates.begin(), candidates.end());
   if (strategy_.heuristic == Strategy::Heuristic::kCheapest) {
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [this](AttributeId a, AttributeId b) {
-                       return schema_->task(a).cost_units <
-                              schema_->task(b).cost_units;
-                     });
+    // Ties break topologically. The candidates arrive in topological order,
+    // so this is the stable sort by cost, without its scratch buffer.
+    std::sort(out->begin(), out->end(), [this](AttributeId a, AttributeId b) {
+      const int ca = schema_->task(a).cost_units;
+      const int cb = schema_->task(b).cost_units;
+      if (ca != cb) return ca < cb;
+      return schema_->topo_index(a) < schema_->topo_index(b);
+    });
   }
   // Earliest: candidates are already in ascending topological order.
-  ordered.resize(static_cast<size_t>(allowed));
-  return ordered;
+  out->resize(static_cast<size_t>(allowed));
 }
 
 }  // namespace dflow::core

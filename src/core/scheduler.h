@@ -30,10 +30,11 @@ class Scheduler {
       : schema_(schema), strategy_(strategy) {}
 
   // `candidates` must be in ascending topological order (as produced by the
-  // prequalifier) and already filtered of launched tasks. Returns the tasks
-  // to launch now, in launch order.
-  std::vector<AttributeId> SelectForLaunch(
-      const std::vector<AttributeId>& candidates, int in_flight) const;
+  // prequalifier) and already filtered of launched tasks. Replaces the
+  // contents of `out` with the tasks to launch now, in launch order; the
+  // caller owns `out` so its capacity is reused across scheduling points.
+  void SelectForLaunch(const std::vector<AttributeId>& candidates,
+                       int in_flight, std::vector<AttributeId>* out) const;
 
  private:
   const Schema* schema_;

@@ -73,7 +73,7 @@ class Schema {
   const std::vector<AttributeId>& targets() const { return targets_; }
 
   // A topological order of the dependency graph (data + enabling edges).
-  // Used by the prequalifier's linear passes and the Earliest heuristic.
+  // Orders the prequalifier's worklists and the Earliest heuristic.
   const std::vector<AttributeId>& topo_order() const { return topo_order_; }
   int topo_index(AttributeId a) const {
     return topo_index_[static_cast<size_t>(a)];

@@ -41,6 +41,8 @@ class Snapshot : public expr::AttributeEnv {
   AttrState state(AttributeId a) const {
     return states_[static_cast<size_t>(a)];
   }
+  // Every attribute's state, indexed by AttributeId.
+  const std::vector<AttrState>& states() const { return states_; }
   // The current value: meaningful in states VALUE and COMPUTED; the null
   // value in DISABLED; null otherwise.
   const Value& value(AttributeId a) const {

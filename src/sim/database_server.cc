@@ -5,14 +5,6 @@
 
 namespace dflow::sim {
 
-// One query's progress through its units of processing. Owned by the server
-// for the duration of the query.
-struct DatabaseServer::QueryJob {
-  int remaining_units;
-  int remaining_pages;  // IO pages left in the current unit
-  Completion done;
-};
-
 void DatabaseServer::ServiceCenter::Enqueue(Time service_ms, Completion done) {
   queue_.push_back(Pending{service_ms, std::move(done)});
   if (free_ > 0) {
@@ -70,7 +62,15 @@ void DatabaseServer::Submit(int cost_units, Completion done) {
   }
   AccumulateGmpl();
   ++active_queries_;
-  auto* job = new QueryJob{cost_units, 0, std::move(done)};
+  QueryJob* job;
+  if (free_jobs_.empty()) {
+    job = &jobs_.emplace_back();
+  } else {
+    job = free_jobs_.back();
+    free_jobs_.pop_back();
+  }
+  job->remaining_units = cost_units;
+  job->done = std::move(done);
   StartUnit(job);
 }
 
@@ -106,7 +106,8 @@ void DatabaseServer::UnitDone(QueryJob* job) {
   --active_queries_;
   ++queries_completed_;
   Completion done = std::move(job->done);
-  delete job;
+  job->done = nullptr;
+  free_jobs_.push_back(job);
   done();
 }
 

@@ -61,7 +61,12 @@ class DatabaseServer : public QueryService {
   const DatabaseParams& params() const { return params_; }
 
  private:
-  struct QueryJob;
+  // One query's progress through its units of processing.
+  struct QueryJob {
+    int remaining_units = 0;
+    int remaining_pages = 0;  // IO pages left in the current unit
+    Completion done;
+  };
 
   // A k-server FIFO service center.
   class ServiceCenter {
@@ -94,6 +99,12 @@ class DatabaseServer : public QueryService {
   Rng rng_;
   ServiceCenter cpus_;
   std::vector<std::unique_ptr<ServiceCenter>> disks_;
+
+  // Jobs live in a server-owned slab: finished slots are recycled through
+  // `free_jobs_`, and jobs still in flight when the server is destroyed
+  // (a simulation stopped mid-query) are released with it.
+  std::deque<QueryJob> jobs_;
+  std::vector<QueryJob*> free_jobs_;
 
   int active_queries_ = 0;
   int64_t units_completed_ = 0;

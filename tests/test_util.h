@@ -4,10 +4,12 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/schema.h"
 #include "core/schema_builder.h"
 #include "core/snapshot.h"
+#include "core/strategy.h"
 #include "expr/condition.h"
 #include "expr/predicate.h"
 
@@ -91,6 +93,25 @@ inline core::SourceBinding HappyBindings(const PromoFlow& f) {
   return {{f.income, Value::Int(50)},
           {f.cart_boys, Value::Bool(true)},
           {f.db_load, Value::Int(20)}};
+}
+
+// Every P/N x S/C x E/C strategy at %Permitted 0, 25 and 100, plus the two
+// ablations of option 'P' (each of its mechanisms alone).
+inline std::vector<core::Strategy> AllStrategies() {
+  std::vector<core::Strategy> out;
+  for (const char* axes : {"PSE", "PSC", "PCE", "PCC", "NSE", "NSC", "NCE",
+                           "NCC"}) {
+    for (const char* pct : {"0", "25", "100"}) {
+      out.push_back(*core::Strategy::Parse(std::string(axes) + pct));
+    }
+  }
+  core::Strategy eager_only = *core::Strategy::Parse("PSE100");
+  eager_only.unneeded_detection_override = false;
+  out.push_back(eager_only);
+  core::Strategy unneeded_only = *core::Strategy::Parse("PSC25");
+  unneeded_only.eager_conditions_override = false;
+  out.push_back(unneeded_only);
+  return out;
 }
 
 }  // namespace dflow::test
