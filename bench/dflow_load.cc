@@ -68,8 +68,8 @@
 // --json). Swarm batches carry no per-item trace flag, so there --trace
 // folds whatever trailers the server's own sampler attached and adds a
 // client-side "client.batch" stage (send -> completion wait per item).
-// --metrics-dump scrapes the server's metrics endpoint after the run and
-// prints the Prometheus-style text.
+// --metrics-dump scrapes the metrics section of a STATS frame after the
+// run and prints the Prometheus-style text.
 //
 // Run:  ./build/dflow_load --port=4517 --requests=2000 --connections=4
 //           [--mode=closed|open] [--rate=R] [--duration=SECS]
@@ -302,28 +302,6 @@ std::string FormatWaterfall(const net::SubmitResult& result) {
                   static_cast<double>(span.duration_ns) / 1e3, width,
                   "================================");
     out += line;
-  }
-  return out;
-}
-
-// Escapes a string for embedding in the hand-built JSON output. Strategy
-// names come off the wire, so a buggy or hostile server must not be able
-// to break the JSON framing CI parses.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (byte < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", byte);
-      out += buffer;
-    } else {
-      out += c;
-    }
   }
   return out;
 }
@@ -947,8 +925,9 @@ int main(int argc, char** argv) {
         router_stats = info->router;
       }
       if (config.metrics_dump) {
-        if (const std::optional<std::string> metrics = probe.Metrics()) {
-          metrics_text = *metrics;
+        if (std::optional<net::StatsInfo> stats =
+                probe.Stats(net::kStatsMetrics)) {
+          metrics_text = std::move(stats->self.metrics);
         }
       }
       probe.Goodbye();
@@ -962,7 +941,7 @@ int main(int argc, char** argv) {
   for (const auto& [strategy, count] : total.strategies) {
     if (strategies_json.size() > 1) strategies_json += ",";
     strategies_json +=
-        "\"" + JsonEscape(strategy) + "\":" + std::to_string(count);
+        "\"" + obs::JsonEscape(strategy) + "\":" + std::to_string(count);
   }
   strategies_json += "}";
   // Per-stage summary from the timing trailers ({} without --trace).
@@ -1038,7 +1017,7 @@ int main(int argc, char** argv) {
         "\"server\":{\"completed\":%lld,\"decode_errors\":%lld}}\n",
         mode_name, config.swarm ? config.batch : 0, attempted,
         config.duration_s,
-        config.connections, JsonEscape(config.dist).c_str(),
+        config.connections, obs::JsonEscape(config.dist).c_str(),
         static_cast<unsigned long long>(config.dist_seed),
         static_cast<long long>(total.ok),
         static_cast<long long>(total.rejected_busy),

@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
                  "--trace-max-mb")
       .Double("health-interval", &options.health.interval_s,
               "health collector cadence in seconds; <= 0 disables the "
-              "collector thread (HEALTH requests still answered, minus rate "
-              "series)")
+              "collector thread (the STATS health section is still answered, "
+              "minus the rate series)")
       .Double("slo-ms", &options.health.slo_ms,
               "p95 relay-latency SLO for the health watermark rules: "
               "sustained p95 above this degrades dflow_health_status")
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(router.recorder().slow_logged()));
   }
   if (metrics_dump) {
-    // The same text a kMetricsRequest frame answers, as a final snapshot.
+    // The same text a STATS metrics section carries, as a final snapshot.
     std::printf("--- metrics ---\n%s", router.MetricsText().c_str());
   }
   return 0;

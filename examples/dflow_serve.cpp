@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
               "model written here — the next epoch's --advisor-calibration")
       .SamplePeriod("profile-sample", &profile_sample,
                     "1-in-N deterministic execution profiling (per-attribute "
-                    "work, per-condition selectivity; wire v8 PROFILE); 1 "
-                    "profiles everything, 0 disables")
+                    "work, per-condition selectivity; the STATS profile "
+                    "section); 1 profiles everything, 0 disables")
       .String("profile-jsonl", &profile_jsonl,
               "append the merged profile as one JSON line to this file at "
               "drain")
@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
                  "--trace-max-mb")
       .Double("health-interval", &health.interval_s,
               "health collector cadence in seconds; <= 0 disables the "
-              "collector thread (HEALTH requests still answered, minus rate "
-              "series)")
+              "collector thread (the STATS health section is still answered, "
+              "minus the rate series)")
       .Double("slo-ms", &health.slo_ms,
               "p95 wall-latency SLO for the health watermark rules: "
               "sustained p95 above this degrades dflow_health_status")
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(server.recorder().slow_logged()));
   }
   if (metrics_dump) {
-    // The same text a kMetricsRequest frame answers, as a final snapshot.
+    // The same text a STATS metrics section carries, as a final snapshot.
     std::printf("--- metrics ---\n%s", server.MetricsText().c_str());
   }
   return 0;

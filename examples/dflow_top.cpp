@@ -1,11 +1,12 @@
-// dflow_top: a live terminal dashboard over the v6 fleet health plane.
+// dflow_top: a live terminal dashboard over the fleet's STATS frames.
 //
-// Polls a dflow_router (or a single dflow_serve) with HEALTH_REQUEST
-// frames and renders the fleet: per-node status verdict, request/failover
-// rates, p95 wall latency, queue pressure, the divergence audit counters,
-// and the tail of the structured event journal. Pointed at a router it
-// shows the router's own plane plus every backend the router could poll;
-// pointed at a server it shows that one node.
+// Polls a dflow_router (or a single dflow_serve) with STATS_REQUEST frames
+// asking for the health section and renders the fleet: per-node status
+// verdict, request/failover rates, p95 wall latency, queue pressure, the
+// divergence audit counters, and the tail of the structured event
+// journal. Pointed at a router it shows the router's own entry plus one
+// per backend (a backend that missed the router's 1 s poll deadline shows
+// as critical); pointed at a server it shows that one node.
 //
 // Modes:
 //   default        redraw every --interval seconds until Ctrl-C
@@ -13,9 +14,10 @@
 //   --once --json  one poll printed as a single JSON object — what CI
 //                  gates on (.self.status == "ok", journal contents,
 //                  counter cross-checks against the Prometheus scrape).
-//   --profile      the v8 profiling plane instead of health: fleet-merged
-//                  hot-attribute work, condition selectivities, and
-//                  request-class rollups (combines with --once/--json);
+//   --profile      the STATS profile section instead of health:
+//                  fleet-merged hot-attribute work, condition
+//                  selectivities, and request-class rollups (combines
+//                  with --once/--json);
 //                  --profile --plan prints the EXPLAIN-style annotated
 //                  Graphviz plan instead of the tables.
 //
@@ -35,8 +37,8 @@
 #include <vector>
 
 #include "net/client.h"
-#include "net/profile_wire.h"
 #include "net/server_config.h"
+#include "net/stats_wire.h"
 #include "obs/event_log.h"
 #include "obs/timeseries.h"
 
@@ -56,35 +58,14 @@ const char* SeverityName(uint8_t severity) {
   return obs::ToString(static_cast<obs::Severity>(severity));
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // The newest ring sample carries the node's current rates; a node whose
 // collector is disabled ships an empty series and reads as zeros.
 net::WireHealthSample LatestSample(const net::NodeHealth& node) {
   return node.series.empty() ? net::WireHealthSample{} : node.series.back();
 }
 
-void AppendNodeJson(const net::NodeHealth& node, std::string* out) {
+void AppendNodeJson(const net::NodeStats& stats, std::string* out) {
+  const net::NodeHealth& node = stats.health;
   const net::WireHealthSample last = LatestSample(node);
   char buf[512];
   std::snprintf(
@@ -96,8 +77,8 @@ void AppendNodeJson(const net::NodeHealth& node, std::string* out) {
       "\"cache_hit_rate\":%.4f,\"p95_wall_ms\":%.3f,"
       "\"queue_depth_max\":%llu,\"queue_utilization\":%.4f,"
       "\"samples\":%zu,\"events\":[",
-      JsonEscape(node.node_id).c_str(), StatusName(node.status),
-      node.is_router, static_cast<long long>(node.completed),
+      obs::JsonEscape(stats.node_id).c_str(), StatusName(node.status),
+      stats.is_router, static_cast<long long>(node.completed),
       static_cast<long long>(node.failovers),
       static_cast<long long>(node.divergence_checks),
       static_cast<long long>(node.divergence_mismatches),
@@ -114,28 +95,29 @@ void AppendNodeJson(const net::NodeHealth& node, std::string* out) {
                   "\"node\":\"%s\",\"detail\":\"%s\"}",
                   static_cast<long long>(event.wall_ms),
                   SeverityName(event.severity), KindName(event.kind),
-                  JsonEscape(event.node).c_str(),
-                  JsonEscape(event.detail).c_str());
+                  obs::JsonEscape(event.node).c_str(),
+                  obs::JsonEscape(event.detail).c_str());
     *out += buf;
   }
   *out += "]}";
 }
 
-std::string ToJson(const net::HealthInfo& health) {
+std::string ToJson(const net::StatsInfo& stats) {
   std::string out = "{\"status\":\"";
-  out += StatusName(health.self.status);
+  out += StatusName(stats.self.health.status);
   out += "\",\"self\":";
-  AppendNodeJson(health.self, &out);
+  AppendNodeJson(stats.self, &out);
   out += ",\"backends\":[";
-  for (size_t i = 0; i < health.backends.size(); ++i) {
+  for (size_t i = 0; i < stats.backends.size(); ++i) {
     if (i > 0) out += ',';
-    AppendNodeJson(health.backends[i], &out);
+    AppendNodeJson(stats.backends[i], &out);
   }
   out += "]}";
   return out;
 }
 
-void PrintNodeRow(const net::NodeHealth& node) {
+void PrintNodeRow(const net::NodeStats& stats) {
+  const net::NodeHealth& node = stats.health;
   const net::WireHealthSample last = LatestSample(node);
   char queue[16] = "    -";
   if (last.queue_utilization > 0 || last.queue_depth_max > 0) {
@@ -149,28 +131,26 @@ void PrintNodeRow(const net::NodeHealth& node) {
                   static_cast<long long>(node.divergence_mismatches));
   }
   std::printf("%-22s %-8s %8.1f %8.2f %s %11lld %9lld %s %7lld\n",
-              node.node_id.c_str(), StatusName(node.status),
+              stats.node_id.c_str(), StatusName(node.status),
               last.requests_per_s, last.p95_wall_ms, queue,
               static_cast<long long>(node.completed),
               static_cast<long long>(node.failovers), diverg,
               static_cast<long long>(node.events_total));
 }
 
-void Render(const std::string& host, int port,
-            const net::HealthInfo& health, bool clear) {
+void Render(const std::string& host, int port, const net::StatsInfo& stats,
+            bool clear) {
   if (clear) std::printf("\x1b[H\x1b[2J");
   const std::time_t now = std::time(nullptr);
   char clock[32];
   std::strftime(clock, sizeof(clock), "%H:%M:%S", std::localtime(&now));
   std::printf("dflow_top — %s:%d — fleet status: %s — %s\n\n", host.c_str(),
-              port, StatusName(health.self.status), clock);
+              port, StatusName(stats.self.health.status), clock);
   std::printf("%-22s %-8s %8s %8s %5s %11s %9s %7s %7s\n", "NODE", "STATUS",
               "REQ/S", "P95MS", "QUEUE", "COMPLETED", "FAILOVERS", "DIVERG",
               "EVENTS");
-  PrintNodeRow(health.self);
-  for (const net::NodeHealth& backend : health.backends) {
-    PrintNodeRow(backend);
-  }
+  PrintNodeRow(stats.self);
+  for (const net::NodeStats& backend : stats.backends) PrintNodeRow(backend);
   // The merged event pane: the router's own journal tail already carries
   // the fleet story (deaths, failovers, divergence verdicts happen at the
   // routing tier); backend tails add node-local context (drains, advisor
@@ -191,9 +171,9 @@ void Render(const std::string& host, int port,
                   event.node.c_str(), event.detail.c_str());
     lines.push_back({event.wall_ms, buf});
   };
-  for (const net::WireEvent& event : health.self.events) add(event);
-  for (const net::NodeHealth& backend : health.backends) {
-    for (const net::WireEvent& event : backend.events) {
+  for (const net::WireEvent& event : stats.self.health.events) add(event);
+  for (const net::NodeStats& backend : stats.backends) {
+    for (const net::WireEvent& event : backend.health.events) {
       if (event.severity >= 1) add(event);
     }
   }
@@ -207,7 +187,7 @@ void Render(const std::string& host, int port,
   std::fflush(stdout);
 }
 
-// --- The v8 profiling view (--profile): fleet-merged per-attribute /
+// --- The profiling view (--profile): fleet-merged per-attribute /
 // per-condition execution profiles, class rollups, and the EXPLAIN-style
 // plan dot.
 
@@ -224,7 +204,7 @@ struct FleetProfile {
   std::string plan_dot;
 };
 
-FleetProfile MergeFleet(const net::ProfileInfo& info) {
+FleetProfile MergeFleet(const net::StatsInfo& stats) {
   FleetProfile fleet;
   const auto fold = [&fleet](const net::NodeProfile& node) {
     net::MergeNodeProfile(node, &fleet.attrs, &fleet.conds, &fleet.classes);
@@ -234,8 +214,8 @@ FleetProfile MergeFleet(const net::ProfileInfo& info) {
     if (fleet.plan_dot.empty()) fleet.plan_dot = node.plan_dot;
     ++fleet.nodes;
   };
-  fold(info.self);
-  for (const net::NodeProfile& backend : info.backends) fold(backend);
+  fold(stats.self.profile);
+  for (const net::NodeStats& backend : stats.backends) fold(backend.profile);
   // Hottest first, everywhere this is shown or emitted: work-units desc,
   // id asc for ties, so repeated polls of an idle fleet print identically.
   std::sort(fleet.attrs.begin(), fleet.attrs.end(),
@@ -277,7 +257,7 @@ std::string ProfileToJson(const FleetProfile& fleet) {
                   "{\"attr\":%d,\"name\":\"%s\",\"launches\":%lld,"
                   "\"work_units\":%lld,\"speculative\":%lld,"
                   "\"wasted_work\":%lld,\"useful\":%lld}",
-                  a.attr, JsonEscape(a.name).c_str(),
+                  a.attr, obs::JsonEscape(a.name).c_str(),
                   static_cast<long long>(a.launches),
                   static_cast<long long>(a.work_units),
                   static_cast<long long>(a.speculative_launches),
@@ -293,7 +273,7 @@ std::string ProfileToJson(const FleetProfile& fleet) {
                   "{\"attr\":%d,\"name\":\"%s\",\"evals\":%lld,"
                   "\"true\":%lld,\"false\":%lld,\"unknown\":%lld,"
                   "\"eager_disables\":%lld,\"selectivity\":%.6f}",
-                  c.attr, JsonEscape(c.name).c_str(),
+                  c.attr, obs::JsonEscape(c.name).c_str(),
                   static_cast<long long>(c.evals),
                   static_cast<long long>(c.true_outcomes),
                   static_cast<long long>(c.false_outcomes),
@@ -398,8 +378,8 @@ int main(int argc, char** argv) {
 
   net::ServerConfig config(
       "dflow_top",
-      "A live terminal dashboard over the fleet health plane: polls a "
-      "dflow_router (or a single dflow_serve) with HEALTH_REQUEST frames "
+      "A live terminal dashboard over the fleet's STATS frames: polls a "
+      "dflow_router (or a single dflow_serve) with STATS_REQUEST frames "
       "and renders per-node status, rates, latency, queue pressure, and "
       "the tail of the event journal.");
   config.String("host", &host, "node to poll")
@@ -410,7 +390,7 @@ int main(int argc, char** argv) {
             "print one poll as a single JSON object and exit (implies "
             "--once); what CI gates on")
       .Bool("profile", &profile,
-            "poll the v8 profiling plane instead of health: fleet-merged "
+            "poll the profile section instead of health: fleet-merged "
             "hot-attribute work, condition selectivities, and request-class "
             "rollups (combines with --once/--json)")
       .Bool("plan", &plan,
@@ -443,50 +423,15 @@ int main(int argc, char** argv) {
     // below the cost of anything it observes.
     net::Client client;
     std::string error;
-    std::optional<net::HealthInfo> health;
-    std::optional<net::ProfileInfo> profile_info;
+    std::optional<net::StatsInfo> stats;
     if (client.Connect(host, static_cast<uint16_t>(port), &error)) {
       client.SetRecvTimeout(5000);
-      if (profile) {
-        profile_info = client.Profile();
-      } else {
-        health = client.Health();
-      }
+      stats = client.Stats(profile ? net::kStatsProfile : net::kStatsHealth);
       client.Close();
     }
-    if (profile) {
-      if (!profile_info.has_value()) {
-        if (once) {
-          std::fprintf(stderr,
-                       "dflow_top: no PROFILE answer from %s:%d%s%s\n",
-                       host.c_str(), port, error.empty() ? "" : ": ",
-                       error.c_str());
-          return 1;
-        }
-        std::printf("dflow_top: %s:%d unreachable, retrying...\n",
-                    host.c_str(), port);
-        std::fflush(stdout);
-      } else {
-        const FleetProfile fleet = MergeFleet(*profile_info);
-        if (plan) {
-          if (fleet.plan_dot.empty()) {
-            std::fprintf(stderr,
-                         "dflow_top: the fleet answered with no plan\n");
-            return 1;
-          }
-          std::fputs(fleet.plan_dot.c_str(), stdout);
-          return 0;
-        }
-        if (json) {
-          std::printf("%s\n", ProfileToJson(fleet).c_str());
-          return 0;
-        }
-        RenderProfile(host, port, fleet, /*clear=*/!first || !once);
-        first = false;
-      }
-    } else if (!health.has_value()) {
+    if (!stats.has_value()) {
       if (once) {
-        std::fprintf(stderr, "dflow_top: no HEALTH answer from %s:%d%s%s\n",
+        std::fprintf(stderr, "dflow_top: no STATS answer from %s:%d%s%s\n",
                      host.c_str(), port, error.empty() ? "" : ": ",
                      error.c_str());
         return 1;
@@ -494,11 +439,27 @@ int main(int argc, char** argv) {
       std::printf("dflow_top: %s:%d unreachable, retrying...\n", host.c_str(),
                   port);
       std::fflush(stdout);
+    } else if (profile) {
+      const FleetProfile fleet = MergeFleet(*stats);
+      if (plan) {
+        if (fleet.plan_dot.empty()) {
+          std::fprintf(stderr, "dflow_top: the fleet answered with no plan\n");
+          return 1;
+        }
+        std::fputs(fleet.plan_dot.c_str(), stdout);
+        return 0;
+      }
+      if (json) {
+        std::printf("%s\n", ProfileToJson(fleet).c_str());
+        return 0;
+      }
+      RenderProfile(host, port, fleet, /*clear=*/!first || !once);
+      first = false;
     } else if (json) {
-      std::printf("%s\n", ToJson(*health).c_str());
+      std::printf("%s\n", ToJson(*stats).c_str());
       return 0;
     } else {
-      Render(host, port, *health, /*clear=*/!first || !once);
+      Render(host, port, *stats, /*clear=*/!first || !once);
       first = false;
     }
     if (once) return 0;

@@ -86,24 +86,6 @@ bool Client::SendInfoRequest() {
   return SendFrame(frame);
 }
 
-bool Client::SendMetricsRequest() {
-  std::vector<uint8_t> frame;
-  EncodeMetricsRequest(&frame);
-  return SendFrame(frame);
-}
-
-bool Client::SendHealthRequest() {
-  std::vector<uint8_t> frame;
-  EncodeHealthRequest(&frame);
-  return SendFrame(frame);
-}
-
-bool Client::SendProfileRequest() {
-  std::vector<uint8_t> frame;
-  EncodeProfileRequest(&frame);
-  return SendFrame(frame);
-}
-
 bool Client::SendGoodbye() {
   std::vector<uint8_t> frame;
   EncodeGoodbye(&frame);
@@ -153,17 +135,9 @@ std::optional<ServerMessage> Client::ReadMessage() {
       message.type = MsgType::kInfo;
       if (!DecodeInfo(frame->payload, &message.info)) break;
       return message;
-    case MsgType::kMetrics:
-      message.type = MsgType::kMetrics;
-      if (!DecodeMetrics(frame->payload, &message.metrics)) break;
-      return message;
-    case MsgType::kHealth:
-      message.type = MsgType::kHealth;
-      if (!DecodeHealth(frame->payload, &message.health)) break;
-      return message;
-    case MsgType::kProfile:
-      message.type = MsgType::kProfile;
-      if (!DecodeProfile(frame->payload, &message.profile)) break;
+    case MsgType::kStats:
+      message.type = MsgType::kStats;
+      if (!DecodeStats(frame->payload, &message.stats)) break;
       return message;
     case MsgType::kGoodbyeAck:
       message.type = MsgType::kGoodbyeAck;
@@ -191,31 +165,17 @@ std::optional<ServerInfo> Client::Info() {
   return message->info;
 }
 
-std::optional<std::string> Client::Metrics() {
-  if (!SendMetricsRequest()) return std::nullopt;
-  const std::optional<ServerMessage> message = ReadMessage();
-  if (!message.has_value() || message->type != MsgType::kMetrics) {
+std::optional<StatsInfo> Client::Stats(uint8_t sections) {
+  const StatsRequest request{next_request_id_++, sections};
+  std::vector<uint8_t> frame;
+  EncodeStatsRequest(request, &frame);
+  if (!SendFrame(frame)) return std::nullopt;
+  std::optional<ServerMessage> message = ReadMessage();
+  if (!message.has_value() || message->type != MsgType::kStats ||
+      message->stats.request_id != request.request_id) {
     return std::nullopt;
   }
-  return message->metrics;
-}
-
-std::optional<HealthInfo> Client::Health() {
-  if (!SendHealthRequest()) return std::nullopt;
-  const std::optional<ServerMessage> message = ReadMessage();
-  if (!message.has_value() || message->type != MsgType::kHealth) {
-    return std::nullopt;
-  }
-  return message->health;
-}
-
-std::optional<ProfileInfo> Client::Profile() {
-  if (!SendProfileRequest()) return std::nullopt;
-  const std::optional<ServerMessage> message = ReadMessage();
-  if (!message.has_value() || message->type != MsgType::kProfile) {
-    return std::nullopt;
-  }
-  return message->profile;
+  return std::move(message->stats);
 }
 
 bool Client::Goodbye() {

@@ -20,9 +20,7 @@ struct ServerMessage {
   SubmitResult result;  // when kSubmitResult
   ErrorReply error;     // when kError
   ServerInfo info;      // when kInfo
-  std::string metrics;  // when kMetrics (text exposition)
-  HealthInfo health;    // when kHealth
-  ProfileInfo profile;  // when kProfile
+  StatsInfo stats;      // when kStats
 };
 
 // The contiguous correlation-id range a SubmitBatch claimed: ids
@@ -65,8 +63,9 @@ struct Completion {
 //     (poll style) or DrainCompletions() (callback style), in *completion*
 //     order — correlate by request_id. outstanding() tracks what is still
 //     owed across every SubmitBatch/SendSubmit on this connection.
-//   - synchronous RPC: Call() / Info() / Goodbye() pair one request with
-//     one response — the simplest correct loop for a closed-loop driver;
+//   - synchronous RPC: Call() / Info() / Stats() / Goodbye() pair one
+//     request with one response — the simplest correct loop for a
+//     closed-loop driver;
 //   - pipelined singletons: issue several SendSubmit()s, then
 //     ReadMessage() (or NextCompletion()) until every request_id is
 //     answered.
@@ -110,7 +109,7 @@ class Client {
 
   // Blocks for the next settled request — the answer to any outstanding
   // SubmitBatch item or SendSubmit. Non-completion frames (a stray Info/
-  // Metrics/Health answer, a GoodbyeAck) are skipped, so do not interleave
+  // Stats answer, a GoodbyeAck) are skipped, so do not interleave
   // unread RPC answers with a completion drain. nullopt means the stream
   // broke (EOF, transport error, or last_error()).
   std::optional<Completion> NextCompletion();
@@ -130,9 +129,6 @@ class Client {
   // Fire-and-record senders; false on transport failure.
   bool SendSubmit(const SubmitRequest& request);
   bool SendInfoRequest();
-  bool SendMetricsRequest();
-  bool SendHealthRequest();
-  bool SendProfileRequest();
   bool SendGoodbye();
 
   // --- Raw-frame layer. The router's backend pool is built on these: it
@@ -156,15 +152,11 @@ class Client {
   // Synchronous conveniences.
   std::optional<ServerMessage> Call(const SubmitRequest& request);
   std::optional<ServerInfo> Info();
-  // Scrapes the server's metrics endpoint (Prometheus text exposition).
-  std::optional<std::string> Metrics();
-  // Scrapes the v6 health plane: status, journal tail, rate series (a
-  // router answers with the whole fleet's view).
-  std::optional<HealthInfo> Health();
-  // Scrapes the v8 profiling plane: per-attribute work, per-condition
-  // selectivities, class rollups (a router answers with every backend's
-  // profile alongside its own).
-  std::optional<ProfileInfo> Profile();
+  // One STATS scrape with the given kStats* sections: the metrics text
+  // exposition, the health section (status, journal tail, rate series),
+  // the plan profile (per-attribute work, per-condition selectivities,
+  // class rollups). A router answers for itself plus every backend.
+  std::optional<StatsInfo> Stats(uint8_t sections);
   // Graceful close: sends kGoodbye, waits for the ack (the server flushes
   // every outstanding response first — any still-pending results arrive
   // before the ack and are DISCARDED here, so call this only after reading
@@ -195,9 +187,9 @@ class Client {
   WireError last_error_ = WireError::kNone;
   int64_t bytes_sent_ = 0;
   int64_t bytes_received_ = 0;
-  // Next correlation id SubmitBatch claims from. Starts high so auto-
-  // assigned ranges never collide with hand-chosen singleton ids in mixed
-  // use (the id space is per-connection, so this is convention, not
+  // Next correlation id SubmitBatch and Stats claim from. Starts high so
+  // auto-assigned ids never collide with hand-chosen singleton ids in
+  // mixed use (the id space is per-connection, so this is convention, not
   // correctness).
   uint64_t next_request_id_ = 1ull << 32;
   // Send-side increments, receive-side decrements. Atomic because the

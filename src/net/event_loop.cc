@@ -135,13 +135,6 @@ struct LoopThread {
   void DispatchFrames(EventConn* conn) {
     while (!conn->closing_ && !conn->retry_) {
       std::optional<Frame> frame = conn->assembler_.Next();
-      if (frame.has_value()) {
-        // Record what version the peer speaks before the handler runs, so
-        // every response to this frame — synchronous or from a worker
-        // thread later — can be stamped with a version the peer accepts.
-        conn->peer_version_.store(conn->assembler_.last_frame_version(),
-                                  std::memory_order_relaxed);
-      }
       if (!frame.has_value()) {
         if (conn->assembler_.error() != WireError::kNone &&
             !conn->saw_protocol_error_) {
@@ -213,12 +206,6 @@ struct LoopThread {
     if (!conn->finalized_) {
       if (conn->outbox_.Inflight() != 0) return;  // answers still landing
       if (!conn->final_frame_.empty()) {
-        // The final frame (goodbye ack) is a response like any other: it
-        // must carry a version the peer's assembler accepts.
-        if (conn->final_frame_.size() >= kFrameHeaderBytes) {
-          conn->final_frame_[2] =
-              conn->peer_version_.load(std::memory_order_relaxed);
-        }
         conn->outbox_.Push(std::move(conn->final_frame_));
         conn->final_frame_.clear();
       }
@@ -302,11 +289,11 @@ EventConn::EventConn(uint64_t id, Socket socket, Handlers handlers,
       assembler_(max_payload_bytes),
       handlers_(std::move(handlers)) {}
 
-void EventConn::PushResponse(std::vector<uint8_t> frame) {
-  if (frame.size() >= kFrameHeaderBytes) {
-    frame[2] = peer_version_.load(std::memory_order_relaxed);
-  }
-  outbox_.Push(std::move(frame));
+void SendError(EventConn* conn, uint64_t request_id, WireError code,
+               const std::string& message) {
+  std::vector<uint8_t> out;
+  EncodeError(ErrorReply{request_id, code, message}, &out);
+  conn->outbox().Push(std::move(out));
 }
 
 void EventConn::PauseReads() {

@@ -36,7 +36,8 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   // What a frame handler tells the loop to do next.
   //   kContinue — frame fully handled; keep dispatching.
   //   kStall    — the handler could not finish (e.g. blocking admission
-  //               against a full shard queue). It has called DeferRetry()
+  //               against a full shard queue, or a router's fleet STATS
+  //               poll awaiting backends). It has called DeferRetry()
   //               with a continuation; the loop pauses reads, retries the
   //               continuation on 1ms ticks, and resumes dispatching the
   //               already-buffered frames once it reports done. The unread
@@ -65,21 +66,6 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   int64_t bytes_in() const {
     return bytes_in_.load(std::memory_order_relaxed);
   }
-
-  // The wire version this peer most recently spoke (kWireVersion until its
-  // first frame arrives). Any-thread.
-  uint8_t peer_version() const {
-    return peer_version_.load(std::memory_order_relaxed);
-  }
-
-  // Stamps `frame`'s header version byte down to peer_version() and pushes
-  // it on the outbox. Response frames must carry a version the peer's own
-  // assembler accepts — a genuine v6-era build rejects a v7-stamped reply
-  // as UNSUPPORTED_VERSION — and every response payload is v6-shaped (v7
-  // only added a request type), so echoing the peer's version is always
-  // valid. Any-thread, like outbox().Push; use it for every server->client
-  // response frame.
-  void PushResponse(std::vector<uint8_t> frame);
 
   // Arbitrary per-connection session state, destroyed with the conn.
   std::shared_ptr<void> user;
@@ -120,7 +106,6 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   SessionOutbox outbox_;
   Handlers handlers_;
   std::atomic<int64_t> bytes_in_{0};
-  std::atomic<uint8_t> peer_version_{kWireVersion};
 
   // Loop-thread-only state machine.
   bool reading_ = true;        // EPOLLIN armed
@@ -133,6 +118,11 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   std::function<bool()> retry_;
   bool in_attention_ = false;  // on the owner's 1ms-tick list
 };
+
+// Pushes a typed ERROR frame on `conn`'s outbox (any-thread, like
+// outbox().Push) — how both front doors refuse a frame.
+void SendError(EventConn* conn, uint64_t request_id, WireError code,
+               const std::string& message);
 
 // A fixed pool of epoll threads (level-triggered, EINTR-safe) owning all
 // of a server's accepted sockets. Connections are assigned round-robin at

@@ -8,8 +8,7 @@
 
 #include "core/dot_export.h"
 #include "core/strategy.h"
-#include "net/health_wire.h"
-#include "net/profile_wire.h"
+#include "net/stats_wire.h"
 
 namespace dflow::net {
 namespace {
@@ -20,7 +19,8 @@ namespace {
 std::string ProfileJson(const std::string& node_id,
                         const obs::ProfileSnapshot& p) {
   std::ostringstream os;
-  os << "{\"kind\":\"profile_snapshot\",\"node\":\"" << node_id << "\""
+  os << "{\"kind\":\"profile_snapshot\",\"node\":\""
+     << obs::JsonEscape(node_id) << "\""
      << ",\"sample_period\":" << p.sample_period
      << ",\"profiled_requests\":" << p.profiled_requests
      << ",\"total_requests\":" << p.total_requests << ",\"attrs\":[";
@@ -31,7 +31,7 @@ std::string ProfileJson(const std::string& node_id,
     if (!first) os << ",";
     first = false;
     os << "{\"attr\":" << i << ",\"name\":\""
-       << (i < p.attr_names.size() ? p.attr_names[i] : "")
+       << obs::JsonEscape(i < p.attr_names.size() ? p.attr_names[i] : "")
        << "\",\"launches\":" << a.launches
        << ",\"work_units\":" << a.work_units
        << ",\"speculative\":" << a.speculative_launches
@@ -123,7 +123,7 @@ IngressServer::IngressServer(const core::Schema* schema,
                                          obs::DefaultWorkUnitBuckets());
   journal_.RegisterCounters(&metrics_);
   health_.RegisterMetrics(&metrics_);
-  // v8 profiling families: measured per-attribute work and per-condition
+  // Profiling families: measured per-attribute work and per-condition
   // selectivity, labeled by attribute name. Registered only when the
   // profilers exist — a profiling-off server scrapes no empty families.
   if (server_.profiling_enabled()) {
@@ -383,25 +383,25 @@ EventConn::FrameAction IngressServer::HandleFrame(
       info_requests_.fetch_add(1, std::memory_order_relaxed);
       std::vector<uint8_t> out;
       EncodeInfo(BuildInfo(), &out);
-      conn->PushResponse(std::move(out));
+      conn->outbox().Push(std::move(out));
       return EventConn::FrameAction::kContinue;
     }
-    case MsgType::kMetricsRequest: {
+    case MsgType::kStatsRequest: {
+      StatsRequest request;
+      if (!DecodeStatsRequest(frame.payload, &request)) {
+        session->decode_errors.fetch_add(1, std::memory_order_relaxed);
+        decode_errors_.fetch_add(1, std::memory_order_relaxed);
+        SendError(conn, PeekRequestId(frame.payload),
+                  WireError::kMalformedFrame, "undecodable stats request");
+        return EventConn::FrameAction::kContinue;
+      }
+      StatsInfo stats;
+      stats.request_id = request.request_id;
+      stats.sections = request.sections;
+      stats.self = BuildStats(request.sections);
       std::vector<uint8_t> out;
-      EncodeMetrics(metrics_.RenderText(), &out);
-      conn->PushResponse(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kHealthRequest: {
-      std::vector<uint8_t> out;
-      EncodeHealth(BuildHealth(), &out);
-      conn->PushResponse(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kProfileRequest: {
-      std::vector<uint8_t> out;
-      EncodeProfile(BuildProfile(), &out);
-      conn->PushResponse(std::move(out));
+      EncodeStats(stats, &out);
+      conn->outbox().Push(std::move(out));
       return EventConn::FrameAction::kContinue;
     }
     case MsgType::kGoodbye: {
@@ -674,7 +674,7 @@ void IngressServer::OnResult(int shard_index,
   EncodeSubmitResult(reply, &out);
   // Push before Finish: once the in-flight count hits zero during a
   // graceful close, every answer is already in the outbox.
-  pending.conn->PushResponse(std::move(out));
+  pending.conn->outbox().Push(std::move(out));
   pending.conn->outbox().FinishRequest();
   if (pending.trace != nullptr) {
     recorder_.Finish(pending.trace,
@@ -682,11 +682,9 @@ void IngressServer::OnResult(int shard_index,
   }
 }
 
-void IngressServer::SendError(EventConn* conn, uint64_t request_id,
-                              WireError code, const std::string& message) {
-  std::vector<uint8_t> out;
-  EncodeError(ErrorReply{request_id, code, message}, &out);
-  conn->PushResponse(std::move(out));
+std::string IngressServer::NodeId() const {
+  return options_.node_id.empty() ? "serve:" + std::to_string(listener_.port())
+                                  : options_.node_id;
 }
 
 ServerInfo IngressServer::BuildInfo() const {
@@ -700,9 +698,7 @@ ServerInfo IngressServer::BuildInfo() const {
   info.rejected = report.stats.rejected;
   info.cache_hits = report.cache.hits;
   info.cache_misses = report.cache.misses;
-  info.node_id = options_.node_id.empty()
-                     ? "serve:" + std::to_string(listener_.port())
-                     : options_.node_id;
+  info.node_id = NodeId();
   info.fleet_epoch = options_.fleet_epoch;
   info.ingress = ingress_stats();
   if (server_.advisor() != nullptr) {
@@ -718,61 +714,52 @@ ServerInfo IngressServer::BuildInfo() const {
   return info;
 }
 
-ProfileInfo IngressServer::BuildProfile() const {
-  ProfileInfo info;
-  info.self.node_id = options_.node_id.empty()
-                          ? "serve:" + std::to_string(listener_.port())
-                          : options_.node_id;
-  info.self.is_router = 0;
-  const obs::ProfileSnapshot merged = server_.MergedProfile();
-  FillNodeProfile(merged, &info.self);
-  // EXPLAIN-style plan view: the schema's dependency graph with measured
-  // work and selectivity as extra label lines on every observed attribute.
-  info.self.plan_dot =
-      core::ToDot(server_.schema(), [&merged](AttributeId a) {
-        std::string note;
-        const auto i = static_cast<size_t>(a);
-        if (i < merged.attrs.size() && merged.attrs[i].launches > 0) {
-          note += "work=" + std::to_string(merged.attrs[i].work_units) +
-                  " runs=" + std::to_string(merged.attrs[i].launches);
-        }
-        const double sel = merged.Selectivity(a);
-        if (sel >= 0) {
-          char text[32];
-          std::snprintf(text, sizeof(text), "sel=%.2f", sel);
-          if (!note.empty()) note += "\n";
-          note += text;
-        }
-        return note;
-      });
-  return info;
+NodeStats IngressServer::BuildStats(uint8_t sections) const {
+  NodeStats node;
+  node.node_id = NodeId();
+  if (sections & kStatsMetrics) node.metrics = metrics_.RenderText();
+  if (sections & kStatsHealth) {
+    node.health.completed = server_.total_processed();
+    FillNodeHealthPlane(journal_, &health_, &node.health);
+  }
+  if (sections & kStatsProfile) {
+    const obs::ProfileSnapshot merged = server_.MergedProfile();
+    FillNodeProfile(merged, &node.profile);
+    // EXPLAIN-style plan view: the schema's dependency graph with measured
+    // work and selectivity as extra label lines on every observed
+    // attribute.
+    node.profile.plan_dot =
+        core::ToDot(server_.schema(), [&merged](AttributeId a) {
+          std::string note;
+          const auto i = static_cast<size_t>(a);
+          if (i < merged.attrs.size() && merged.attrs[i].launches > 0) {
+            note += "work=" + std::to_string(merged.attrs[i].work_units) +
+                    " runs=" + std::to_string(merged.attrs[i].launches);
+          }
+          const double sel = merged.Selectivity(a);
+          if (sel >= 0) {
+            char text[32];
+            std::snprintf(text, sizeof(text), "sel=%.2f", sel);
+            if (!note.empty()) note += "\n";
+            note += text;
+          }
+          return note;
+        });
+  }
+  return node;
 }
 
 void IngressServer::WriteProfileSnapshot() {
   if (!server_.profiling_enabled()) return;
   const obs::ProfileSnapshot merged = server_.MergedProfile();
-  const std::string node_id = options_.node_id.empty()
-                                  ? "serve:" + std::to_string(listener_.port())
-                                  : options_.node_id;
   if (profile_sink_.open()) {
-    profile_sink_.Append(ProfileJson(node_id, merged));
+    profile_sink_.Append(ProfileJson(NodeId(), merged));
   }
   journal_.Emit(obs::EventKind::kProfileSnapshot, obs::Severity::kInfo,
                 "profiled=" + std::to_string(merged.profiled_requests) + "/" +
                     std::to_string(merged.total_requests) +
                     " sink_lines=" +
                     std::to_string(profile_sink_.lines_written()));
-}
-
-HealthInfo IngressServer::BuildHealth() const {
-  HealthInfo health;
-  health.self.node_id = options_.node_id.empty()
-                            ? "serve:" + std::to_string(listener_.port())
-                            : options_.node_id;
-  health.self.is_router = 0;
-  health.self.completed = server_.total_processed();
-  FillNodeHealthPlane(journal_, &health_, &health.self);
-  return health;
 }
 
 }  // namespace dflow::net

@@ -63,11 +63,12 @@ struct IngressOptions {
   // budget), stderr mirroring of warnings. Always on — events are rare
   // control-plane transitions, never per-request.
   obs::EventLogOptions events;
-  // Health collector cadence + watermark rules (the v6 health plane).
-  // interval_s <= 0 disables the collector thread; kHealthRequest is still
-  // answered (with an empty rate series) so fleet polls never fail.
+  // Health collector cadence + watermark rules (the STATS health
+  // section). interval_s <= 0 disables the collector thread; the health
+  // section is still answered (with an empty rate series) so fleet polls
+  // never fail.
   obs::HealthOptions health;
-  // v8 profiling plane: optional JSONL sink for merged profile snapshots
+  // Plan profiling: optional JSONL sink for merged profile snapshots
   // (one line at every drain), with the same byte-budget rotation rule as
   // the trace/journal sinks. Empty = no sink. Sampling itself lives on
   // FlowServerOptions::profile_sample_period.
@@ -136,7 +137,7 @@ class IngressServer {
   runtime::IngressStats ingress_stats() const;
 
   // Prometheus-style text exposition of every registered metric family —
-  // what a kMetricsRequest frame answers and what --metrics-dump prints.
+  // the metrics section of a STATS answer and what --metrics-dump prints.
   std::string MetricsText() const { return metrics_.RenderText(); }
   const obs::TraceRecorder& recorder() const { return recorder_; }
   const obs::EventLog& journal() const { return journal_; }
@@ -236,16 +237,16 @@ class IngressServer {
   void OnResult(int shard_index, const runtime::FlowRequest& request,
                 const core::InstanceResult& result,
                 const core::Strategy& executed);
-  void SendError(EventConn* conn, uint64_t request_id, WireError code,
-                 const std::string& message);
   // EventConn on_close hook: folds the conn's byte/outbox stats into the
   // closed-session accumulators exactly once.
   void OnConnClosed(EventConn* conn, const std::shared_ptr<Session>& session);
+  // Identity reported in Info and STATS: options_.node_id or "serve:<port>".
+  std::string NodeId() const;
   ServerInfo BuildInfo() const;
-  HealthInfo BuildHealth() const;
-  // The v8 profile answer: this node's merged profile plus the annotated
-  // plan view (EXPLAIN-style dot with measured work/selectivity per node).
-  ProfileInfo BuildProfile() const;
+  // This node's STATS entry with the requested sections: the metrics
+  // exposition, the health section, and the merged plan profile with its
+  // annotated plan view (EXPLAIN-style dot with measured work/selectivity).
+  NodeStats BuildStats(uint8_t sections) const;
   // One merged-profile JSONL line into the profile sink + a
   // profile_snapshot journal event; no-op when the sink is closed or
   // profiling is off.
@@ -260,7 +261,7 @@ class IngressServer {
   // Declared after journal_ and the registry sources it differences; the
   // collector thread runs Start() -> Stop().
   obs::HealthCollector health_;
-  // v8 profile snapshot sink (size-capped JSONL), written at drain.
+  // Profile snapshot sink (size-capped JSONL), written at drain.
   obs::JsonlSink profile_sink_;
   // Registry-owned latency histograms, observed on the completion path:
   // real wall-clock microseconds (submit decoded -> response built)

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "net/health_wire.h"
+#include "net/stats_wire.h"
 #include "runtime/flow_server.h"
 
 namespace dflow::net {
@@ -47,11 +47,11 @@ constexpr int kMaxFailoverAttempts = 8;
 // delay.
 constexpr auto kHealthyConnectionUptime = std::chrono::seconds(1);
 
-// Upper bound on one backend health poll. The request shares the pooled
-// stream with forwarded submits, so a backend parked on a full shard
-// queue delays the answer — after this long the poll gives up and
-// BuildHealth synthesizes a critical entry instead of blocking forever.
-constexpr int kHealthProbeTimeoutMs = 1000;
+// Deadline of one fleet STATS poll. The request shares the pooled stream
+// with forwarded submits, so a backend parked on a full shard queue delays
+// its answer — after this long the poll replies with a synthesized entry
+// for every backend still silent.
+constexpr auto kStatsPollTimeout = std::chrono::milliseconds(1000);
 
 std::string AddressText(const BackendAddress& address) {
   return address.host + ":" + std::to_string(address.port);
@@ -413,150 +413,115 @@ ServerInfo Router::BuildInfo() const {
   info.completed = relayed_results_.load();
   info.rejected = relayed_busy_.load() + relayed_shutdown_.load() +
                   unavailable_total_.load();
-  info.node_id = options_.node_id.empty()
-                     ? "router:" + std::to_string(listener_.port())
-                     : options_.node_id;
+  info.node_id = NodeId();
   info.ingress = front_stats();
   return info;
 }
 
-HealthInfo Router::BuildHealth() {
-  // One fleet poll at a time: concurrent kHealthRequests would otherwise
-  // race per-backend probes (the map holds one probe per backend).
-  std::lock_guard<std::mutex> poll_lock(health_poll_mu_);
-  HealthInfo health;
-  health.self.node_id = options_.node_id.empty()
-                            ? "router:" + std::to_string(listener_.port())
-                            : options_.node_id;
-  health.self.is_router = 1;
-  health.self.completed = relayed_results_.load();
-  health.self.failovers = failovers_total_.load();
-  health.self.divergence_checks = divergence_checks_.load();
-  health.self.divergence_mismatches = divergence_mismatches_.load();
-  FillNodeHealthPlane(journal_, &health_, &health.self);
-  health.backends.reserve(backends_.size());
-  for (const std::unique_ptr<Backend>& backend : backends_) {
-    NodeHealth node;
-    if (!PollBackendHealth(backend.get(), &node)) {
-      // Down or unresponsive: a synthesized critical entry, so the fleet
-      // view never silently omits a member.
-      std::lock_guard<std::mutex> lock(backend->info_mu);
-      node.node_id = backend->node_id.empty() ? AddressText(backend->address)
-                                              : backend->node_id;
-      node.status = static_cast<uint8_t>(obs::HealthStatus::kCritical);
-    }
-    health.backends.push_back(std::move(node));
-  }
-  return health;
+std::string Router::NodeId() const {
+  return options_.node_id.empty()
+             ? "router:" + std::to_string(listener_.port())
+             : options_.node_id;
 }
 
-ProfileInfo Router::BuildProfile() {
-  // One fleet poll at a time, like BuildHealth: the probe map holds one
-  // profile probe per backend.
-  std::lock_guard<std::mutex> poll_lock(profile_poll_mu_);
-  ProfileInfo info;
-  info.self.node_id = options_.node_id.empty()
-                          ? "router:" + std::to_string(listener_.port())
-                          : options_.node_id;
-  info.self.is_router = 1;
-  // A router executes no attributes: its self entry is identity only, and
-  // the fleet's substance is the per-backend profiles below (dflow_top
-  // merges them into the fleet view).
-  info.backends.reserve(backends_.size());
-  for (const std::unique_ptr<Backend>& backend : backends_) {
-    NodeProfile node;
-    if (!PollBackendProfile(backend.get(), &node)) {
-      // Down or unresponsive: an empty identity entry, so the fleet view
-      // never silently omits a member.
-      std::lock_guard<std::mutex> lock(backend->info_mu);
-      node.node_id = backend->node_id.empty() ? AddressText(backend->address)
-                                              : backend->node_id;
-    }
-    info.backends.push_back(std::move(node));
+EventConn::FrameAction Router::HandleStats(EventConn* conn,
+                                           const Frame& frame) {
+  auto poll = std::make_shared<StatsPoll>();
+  if (!DecodeStatsRequest(frame.payload, &poll->request)) {
+    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    SendError(conn, PeekRequestId(frame.payload), WireError::kMalformedFrame,
+              "undecodable stats request");
+    return EventConn::FrameAction::kContinue;
   }
-  return info;
+  poll->deadline = std::chrono::steady_clock::now() + kStatsPollTimeout;
+  poll->answers.resize(backends_.size());
+  for (size_t i = 0; i < backends_.size(); ++i) {
+    // Registered before the send: the answer may beat the send's return.
+    const uint64_t ticket = next_ticket_.fetch_add(1);
+    poll->tickets.push_back(ticket);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_probes_.emplace(ticket, StatsProbe{poll, i});
+      ++poll->outstanding;
+    }
+    std::vector<uint8_t> out;
+    EncodeStatsRequest(StatsRequest{ticket, poll->request.sections}, &out);
+    if (!SendToBackend(backends_[i].get(), out)) {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      if (stats_probes_.erase(ticket) != 0) --poll->outstanding;
+    }
+  }
+  // Polled on the loop's 1ms ticks: the conn stops reading (later frames
+  // keep their order behind this reply), every other conn keeps flowing.
+  const auto settle = [this, conn, poll] {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      if (poll->outstanding > 0 &&
+          std::chrono::steady_clock::now() < poll->deadline) {
+        return false;
+      }
+      for (const uint64_t ticket : poll->tickets) stats_probes_.erase(ticket);
+    }
+    AnswerStats(conn, poll.get());
+    return true;
+  };
+  if (settle()) return EventConn::FrameAction::kContinue;
+  conn->DeferRetry(settle);
+  return EventConn::FrameAction::kStall;
 }
 
-bool Router::PollBackendProfile(const Backend* backend, NodeProfile* out) {
-  auto probe = std::make_shared<ProfileProbe>();
-  {
-    std::lock_guard<std::mutex> lock(probes_mu_);
-    profile_probes_[backend] = probe;
+void Router::AnswerStats(EventConn* conn, StatsPoll* poll) {
+  const uint8_t sections = poll->request.sections;
+  StatsInfo stats;
+  stats.request_id = poll->request.request_id;
+  stats.sections = sections;
+  // A router executes no attributes: its profile section stays empty and
+  // the fleet's profile lives in the backend entries.
+  stats.self.node_id = NodeId();
+  stats.self.is_router = 1;
+  if (sections & kStatsMetrics) stats.self.metrics = metrics_.RenderText();
+  if (sections & kStatsHealth) {
+    NodeHealth& health = stats.self.health;
+    health.completed = relayed_results_.load();
+    health.failovers = failovers_total_.load();
+    health.divergence_checks = divergence_checks_.load();
+    health.divergence_mismatches = divergence_mismatches_.load();
+    FillNodeHealthPlane(journal_, &health_, &health);
   }
-  bool sent = false;
+  stats.backends.reserve(backends_.size());
+  for (size_t i = 0; i < backends_.size(); ++i) {
+    if (poll->answers[i].has_value()) {
+      stats.backends.push_back(std::move(*poll->answers[i]));
+      continue;
+    }
+    // Down or silent past the deadline: an identity entry (critical
+    // health, empty profile), so the fleet view never omits a member.
+    const Backend& backend = *backends_[i];
+    NodeStats node;
+    {
+      std::lock_guard<std::mutex> lock(backend.info_mu);
+      node.node_id = backend.node_id.empty() ? AddressText(backend.address)
+                                             : backend.node_id;
+    }
+    node.health.status = static_cast<uint8_t>(obs::HealthStatus::kCritical);
+    stats.backends.push_back(std::move(node));
+  }
+  std::vector<uint8_t> out;
+  EncodeStats(stats, &out);
+  conn->outbox().Push(std::move(out));
+}
+
+bool Router::SendToBackend(Backend* backend,
+                           const std::vector<uint8_t>& frame) {
   for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
     if (!conn->ready.load(std::memory_order_acquire)) continue;
     std::lock_guard<std::mutex> lock(conn->send_mu);
-    if (!conn->ready.load(std::memory_order_acquire) ||
-        conn->client == nullptr) {
-      continue;
-    }
-    std::vector<uint8_t> frame;
-    EncodeProfileRequest(&frame);
-    if (conn->client->SendFrame(frame)) {
-      sent = true;
-      break;
+    if (conn->ready.load(std::memory_order_acquire) &&
+        conn->client != nullptr && conn->client->SendFrame(frame)) {
+      return true;
     }
   }
-  bool ok = false;
-  if (sent) {
-    std::unique_lock<std::mutex> lock(probe->mu);
-    probe->cv.wait_for(lock, std::chrono::milliseconds(kHealthProbeTimeoutMs),
-                       [&] { return probe->done; });
-    if (probe->done && probe->ok) {
-      *out = std::move(probe->info.self);
-      ok = true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(probes_mu_);
-    const auto it = profile_probes_.find(backend);
-    if (it != profile_probes_.end() && it->second == probe) {
-      profile_probes_.erase(it);
-    }
-  }
-  return ok;
-}
-
-bool Router::PollBackendHealth(const Backend* backend, NodeHealth* out) {
-  auto probe = std::make_shared<HealthProbe>();
-  {
-    std::lock_guard<std::mutex> lock(probes_mu_);
-    health_probes_[backend] = probe;
-  }
-  bool sent = false;
-  for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-    if (!conn->ready.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> lock(conn->send_mu);
-    if (!conn->ready.load(std::memory_order_acquire) ||
-        conn->client == nullptr) {
-      continue;
-    }
-    std::vector<uint8_t> frame;
-    EncodeHealthRequest(&frame);
-    if (conn->client->SendFrame(frame)) {
-      sent = true;
-      break;
-    }
-  }
-  bool ok = false;
-  if (sent) {
-    std::unique_lock<std::mutex> lock(probe->mu);
-    probe->cv.wait_for(lock, std::chrono::milliseconds(kHealthProbeTimeoutMs),
-                       [&] { return probe->done; });
-    if (probe->done && probe->ok) {
-      *out = std::move(probe->info.self);
-      ok = true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(probes_mu_);
-    const auto it = health_probes_.find(backend);
-    if (it != health_probes_.end() && it->second == probe) {
-      health_probes_.erase(it);
-    }
-  }
-  return ok;
+  return false;
 }
 
 obs::HealthSources Router::MakeHealthSources() {
@@ -689,30 +654,11 @@ EventConn::FrameAction Router::HandleFrame(
       info_requests_.fetch_add(1, std::memory_order_relaxed);
       std::vector<uint8_t> out;
       EncodeInfo(BuildInfo(), &out);
-      conn->PushResponse(std::move(out));
+      conn->outbox().Push(std::move(out));
       return EventConn::FrameAction::kContinue;
     }
-    case MsgType::kMetricsRequest: {
-      std::vector<uint8_t> out;
-      EncodeMetrics(metrics_.RenderText(), &out);
-      conn->PushResponse(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kHealthRequest: {
-      // The fleet-wide poll runs on this conn's loop thread; it is a
-      // monitoring request, and the per-backend probe timeout bounds it.
-      std::vector<uint8_t> out;
-      EncodeHealth(BuildHealth(), &out);
-      conn->PushResponse(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kProfileRequest: {
-      // Fleet-wide profile poll, bounded per backend exactly like health.
-      std::vector<uint8_t> out;
-      EncodeProfile(BuildProfile(), &out);
-      conn->PushResponse(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
+    case MsgType::kStatsRequest:
+      return HandleStats(conn, frame);
     case MsgType::kGoodbye: {
       // Flush-then-ack, exactly like the ingress: the ack rides as the
       // graceful close's final frame, which the loop pushes only after
@@ -1083,13 +1029,6 @@ void Router::ResolveDivergence(uint64_t check_id, bool is_primary, bool ok,
   }
 }
 
-void Router::SendError(EventConn* conn, uint64_t request_id, WireError code,
-                       const std::string& message) {
-  std::vector<uint8_t> out;
-  EncodeError(ErrorReply{request_id, code, message}, &out);
-  conn->PushResponse(std::move(out));
-}
-
 // --- Backend pool: one thread per pooled connection owns its whole
 // connect / handshake / read / reconnect lifecycle.
 
@@ -1252,39 +1191,19 @@ bool Router::Handshake(Backend* backend, Client* client) {
 void Router::HandleBackendFrame(Backend* backend, Frame frame) {
   const MsgType type = static_cast<MsgType>(frame.type);
   if (type == MsgType::kInfo || type == MsgType::kGoodbyeAck) return;
-  if (type == MsgType::kHealth) {
-    // Fulfills the in-flight probe BuildHealth parked on this backend.
-    // No probe (a stale answer after the poll timed out) is fine: the
-    // shared_ptr keeps lifetimes safe and the bytes are simply dropped.
-    std::shared_ptr<HealthProbe> probe;
-    {
-      std::lock_guard<std::mutex> lock(probes_mu_);
-      const auto it = health_probes_.find(backend);
-      if (it != health_probes_.end()) probe = it->second;
-    }
-    if (probe != nullptr) {
-      std::lock_guard<std::mutex> lock(probe->mu);
-      probe->ok = DecodeHealth(frame.payload, &probe->info);
-      probe->done = true;
-      probe->cv.notify_all();
-    }
-    return;
-  }
-  if (type == MsgType::kProfile) {
-    // Fulfills the in-flight probe BuildProfile parked on this backend,
-    // with the same stale-answer tolerance as the health path.
-    std::shared_ptr<ProfileProbe> probe;
-    {
-      std::lock_guard<std::mutex> lock(probes_mu_);
-      const auto it = profile_probes_.find(backend);
-      if (it != profile_probes_.end()) probe = it->second;
-    }
-    if (probe != nullptr) {
-      std::lock_guard<std::mutex> lock(probe->mu);
-      probe->ok = DecodeProfile(frame.payload, &probe->info);
-      probe->done = true;
-      probe->cv.notify_all();
-    }
+  if (type == MsgType::kStats) {
+    // Files the answer with the poll its ticket names. No probe means the
+    // poll already replied without it; the bytes are simply dropped.
+    StatsInfo answer;
+    const bool ok = DecodeStats(frame.payload, &answer);
+    if (!ok) protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    const auto it = stats_probes_.find(PeekRequestId(frame.payload));
+    if (it == stats_probes_.end()) return;
+    StatsPoll& poll = *it->second.poll;
+    if (ok) poll.answers[it->second.backend_index] = std::move(answer.self);
+    --poll.outstanding;
+    stats_probes_.erase(it);
     return;
   }
   if (type != MsgType::kSubmitResult && type != MsgType::kError) {
@@ -1367,10 +1286,8 @@ void Router::HandleBackendFrame(Backend* backend, Frame frame) {
   // Any-thread outbox surface: Push + Finish from this backend thread; the
   // wake doorbell schedules the flush on the loop thread that owns the
   // socket. Push before Finish, so a graceful close seeing in-flight zero
-  // finds every answer already in the outbox. PushResponse re-stamps the
-  // relayed header with the version the front-door peer spoke (the
-  // backend stamped its own).
-  pending.conn->PushResponse(std::move(out));
+  // finds every answer already in the outbox.
+  pending.conn->outbox().Push(std::move(out));
   pending.conn->outbox().FinishRequest();
 }
 

@@ -2,10 +2,12 @@
 #define DFLOW_NET_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -98,9 +100,10 @@ struct RouterOptions {
   // epoch refusals): ring size, optional JSONL sink (+ rotation budget),
   // stderr mirroring of warnings. Always on.
   obs::EventLogOptions events;
-  // Health collector cadence + watermark rules (the v6 health plane).
-  // interval_s <= 0 disables the collector thread; kHealthRequest is still
-  // answered (with an empty rate series) so fleet polls never fail.
+  // Health collector cadence + watermark rules (the STATS health
+  // section). interval_s <= 0 disables the collector thread; the health
+  // section is still answered (with an empty rate series) so fleet polls
+  // never fail.
   obs::HealthOptions health;
 };
 
@@ -182,25 +185,12 @@ class Router {
   ServerInfo BuildInfo() const;
 
   // Prometheus-style text exposition of every registered metric family —
-  // what a kMetricsRequest frame answers and what --metrics-dump prints.
+  // the metrics section of a STATS answer and what --metrics-dump prints.
   // Per-backend families carry a {backend="host:port"} label.
   std::string MetricsText() const { return metrics_.RenderText(); }
   const obs::TraceRecorder& recorder() const { return recorder_; }
   const obs::EventLog& journal() const { return journal_; }
   const obs::HealthCollector& health() const { return health_; }
-
-  // The fleet-wide health view a kHealthRequest answers: the router's own
-  // plane plus one NodeHealth per backend, polled live over the pool (a
-  // down or unresponsive backend contributes a synthesized critical
-  // entry). Serialized internally; safe from any thread after Start().
-  HealthInfo BuildHealth();
-
-  // The fleet-wide profile view a kProfileRequest answers (wire v8): an
-  // identity-only self entry (a router executes nothing) plus one
-  // NodeProfile per backend, polled live over the pool exactly like
-  // BuildHealth (a down backend contributes an empty identity entry).
-  // Serialized internally; safe from any thread after Start().
-  ProfileInfo BuildProfile();
 
  private:
   // Per-connection session state on the front door (EventConn::user) —
@@ -296,35 +286,28 @@ class Router {
   // How one forward attempt ended (see HandleSubmit).
   enum class ForwardOutcome { kForwarded, kUnavailable, kAnsweredElsewhere };
 
-  // One in-flight health poll of a backend, sent over its pooled
-  // connection and fulfilled by the conn thread when the kHealth answer
-  // arrives (conn threads own all reads, so the poll cannot read
-  // synchronously). Keyed by backend index in health_probes_; shared_ptr
-  // so a timed-out waiter and a late fulfillment never race lifetimes.
-  struct HealthProbe {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    HealthInfo info;
+  // One fleet STATS poll: a front-door STATS_REQUEST fanned out to every
+  // backend, each copy under its own router-issued ticket. Conn threads
+  // file answers by backend index as they arrive; the front-door conn's
+  // DeferRetry continuation replies once none is outstanding or the
+  // deadline passed. answers/outstanding are guarded by stats_mu_.
+  struct StatsPoll {
+    StatsRequest request;  // the client's id and section mask
+    std::chrono::steady_clock::time_point deadline;
+    std::vector<uint64_t> tickets;  // one per backend copy sent
+    std::vector<std::optional<NodeStats>> answers;  // by backend index
+    size_t outstanding = 0;
   };
-
-  // The profile plane's twin of HealthProbe: one in-flight kProfileRequest
-  // per backend, fulfilled by the conn thread when the kProfile answer
-  // arrives.
-  struct ProfileProbe {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    ProfileInfo info;
+  struct StatsProbe {
+    std::shared_ptr<StatsPoll> poll;
+    size_t backend_index = 0;
   };
 
   void AcceptLoop();
-  // One decoded frame, on the conn's owning loop thread. The router never
-  // stalls a front-door conn: forwarding either succeeds (the blocking
-  // backend send IS the backpressure path) or fails fast with a typed
-  // error, so kStall is never returned here.
+  // One decoded frame, on the conn's owning loop thread. Forwarding never
+  // stalls a front-door conn: it either succeeds (the blocking backend
+  // send IS the backpressure path) or fails fast with a typed error. Only
+  // a STATS poll returns kStall, while it waits for backend answers.
   EventConn::FrameAction HandleFrame(EventConn* conn,
                                      const std::shared_ptr<Session>& session,
                                      Frame& frame);
@@ -356,8 +339,6 @@ class Router {
   // settles the check when both sides are in.
   void ResolveDivergence(uint64_t check_id, bool is_primary, bool ok,
                          uint64_t fingerprint);
-  static void SendError(EventConn* conn, uint64_t request_id, WireError code,
-                        const std::string& message);
   // EventConn on_close hook: folds the conn's byte/outbox stats into the
   // closed-session accumulators exactly once.
   void OnConnClosed(EventConn* conn, const std::shared_ptr<Session>& session);
@@ -372,13 +353,19 @@ class Router {
   // BACKEND_UNAVAILABLE; divergence shadows are abandoned.
   void FailPendingOn(int backend_index, int conn_index);
 
-  // Health plane. PollBackendHealth sends a kHealthRequest on one of the
-  // backend's ready connections and waits (bounded) for the conn thread to
-  // fulfill the probe; false on a down backend or timeout.
-  bool PollBackendHealth(const Backend* backend, NodeHealth* out);
-  // Same machinery for the v8 profile plane; false on a down backend or
-  // timeout.
-  bool PollBackendProfile(const Backend* backend, NodeProfile* out);
+  // Fans a STATS_REQUEST out to every backend and parks the reply on the
+  // conn (kStall) until every backend answered or the poll deadline
+  // passed; the loop thread never waits.
+  EventConn::FrameAction HandleStats(EventConn* conn, const Frame& frame);
+  // The reply once the poll settled: the router's own entry plus one per
+  // backend, synthesized for a backend that did not answer in time.
+  void AnswerStats(EventConn* conn, StatsPoll* poll);
+  // Sends `frame` on any ready pooled connection of `backend`; false when
+  // none is live.
+  bool SendToBackend(Backend* backend, const std::vector<uint8_t>& frame);
+  // Identity reported in Info and STATS: options_.node_id or
+  // "router:<port>".
+  std::string NodeId() const;
   obs::HealthSources MakeHealthSources();
   // Live replica slots with zero ready connections (the critical-status
   // topology input).
@@ -391,15 +378,11 @@ class Router {
   // Declared after journal_ and the counters it differences; the collector
   // thread runs Start() -> Stop().
   obs::HealthCollector health_;
-  // Serializes fleet-wide BuildHealth polls; probes_mu_ guards the
-  // per-backend probe map the conn threads fulfill.
-  std::mutex health_poll_mu_;
-  std::mutex profile_poll_mu_;
-  std::mutex probes_mu_;
-  std::unordered_map<const Backend*, std::shared_ptr<HealthProbe>>
-      health_probes_;
-  std::unordered_map<const Backend*, std::shared_ptr<ProfileProbe>>
-      profile_probes_;
+  // Every STATS_REQUEST a backend still owes an answer, by ticket. A
+  // poll erases its tickets when it replies, so a late answer finds no
+  // probe and is dropped instead of filling a later poll.
+  std::mutex stats_mu_;
+  std::unordered_map<uint64_t, StatsProbe> stats_probes_;
   // Registry-owned wall-clock latency histogram, observed on the relay
   // path (submit forwarded -> result relayed): the cross-node counterpart
   // of the ingress's dflow_wall_latency_us.

@@ -1,5 +1,5 @@
-#ifndef DFLOW_NET_PROFILE_WIRE_H_
-#define DFLOW_NET_PROFILE_WIRE_H_
+#ifndef DFLOW_NET_STATS_WIRE_H_
+#define DFLOW_NET_STATS_WIRE_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -8,12 +8,65 @@
 #include <vector>
 
 #include "net/wire_protocol.h"
+#include "obs/event_log.h"
 #include "obs/flow_profiler.h"
+#include "obs/timeseries.h"
 
 namespace dflow::net {
 
-// obs -> wire converters for the v8 profiling plane, shared by the ingress
-// and the router. The class-rollup cap bounds a PROFILE frame against
+// obs -> wire converters for the STATS sections, shared by the ingress,
+// the router and dflow_top.
+
+// --- The health section. The wire caps below bound it: both front doors
+// ship at most this many journal entries / ring samples per node, so a
+// fleet-wide response stays a few KB regardless of ring capacities.
+inline constexpr size_t kHealthWireMaxEvents = 32;
+inline constexpr size_t kHealthWireMaxSamples = 30;
+
+inline WireEvent ToWire(const obs::Event& event) {
+  WireEvent out;
+  out.kind = static_cast<uint8_t>(event.kind);
+  out.severity = static_cast<uint8_t>(event.severity);
+  out.wall_ms = event.wall_ms;
+  out.node = event.node;
+  out.detail = event.detail;
+  return out;
+}
+
+inline WireHealthSample ToWire(const obs::HealthSample& sample) {
+  WireHealthSample out;
+  out.wall_ms = sample.wall_ms;
+  out.interval_s = sample.interval_s;
+  out.requests_per_s = sample.requests_per_s;
+  out.failovers_per_s = sample.failovers_per_s;
+  out.cache_hit_rate = sample.cache_hit_rate;
+  out.p95_wall_ms = sample.p95_wall_ms;
+  out.queue_depth_max = sample.queue_depth_max;
+  out.queue_utilization = sample.queue_utilization;
+  out.status = static_cast<uint8_t>(sample.status);
+  return out;
+}
+
+// Fills a NodeHealth's journal tail and rate series from a node's own
+// plane (the counters are the caller's business).
+inline void FillNodeHealthPlane(const obs::EventLog& journal,
+                                const obs::HealthCollector* collector,
+                                NodeHealth* node) {
+  node->events_total = journal.total();
+  for (const obs::Event& event : journal.Tail(kHealthWireMaxEvents)) {
+    node->events.push_back(ToWire(event));
+  }
+  if (collector != nullptr) {
+    node->status = static_cast<uint8_t>(collector->status());
+    for (const obs::HealthSample& sample :
+         collector->Recent(kHealthWireMaxSamples)) {
+      node->series.push_back(ToWire(sample));
+    }
+  }
+}
+
+
+// --- The profile section. The class-rollup cap bounds it against
 // adversarial source diversity (class keys are hashes of the source
 // binding, so their count is unbounded); the shipped subset is chosen
 // deterministically — hottest by request count, ties by key — so repeated
@@ -21,8 +74,7 @@ namespace dflow::net {
 inline constexpr size_t kProfileWireMaxClasses = 64;
 
 // Flattens a merged ProfileSnapshot into one NodeProfile's tables.
-// Identity fields (node_id, is_router) and plan_dot are the caller's
-// business. Attr rows are shipped for every launched attribute, cond rows
+// plan_dot is the caller's business. Attr rows are shipped for every launched attribute, cond rows
 // for every attribute with a real (non-literal-true) enabling condition
 // that was observed at least once — silent zero rows carry no signal and
 // would bloat fleet responses linearly in schema size.
@@ -152,4 +204,4 @@ inline double WireSelectivity(const WireCondProfile& row) {
 
 }  // namespace dflow::net
 
-#endif  // DFLOW_NET_PROFILE_WIRE_H_
+#endif  // DFLOW_NET_STATS_WIRE_H_

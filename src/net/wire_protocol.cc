@@ -253,20 +253,20 @@ void PutIngressStats(const runtime::IngressStats& s,
   PutI64(s.outbox_write_stalls, out);
 }
 
-// --- v6 health-plane helpers. Wire byte ranges for the obs enums carried
+// --- Health-section helpers. Wire byte ranges for the obs enums carried
 // as raw u8 (obs::EventKind, obs::Severity, obs::HealthStatus); decoders
 // range-check before the structs ever reach obs code.
 constexpr uint8_t kMinWireEventKind = 1;
-constexpr uint8_t kMaxWireEventKind = 11;  // v8: + profile_snapshot
+constexpr uint8_t kMaxWireEventKind = 11;  // through profile_snapshot
 constexpr uint8_t kMaxWireSeverity = 2;
 constexpr uint8_t kMaxWireHealthStatus = 2;
 // Minimum payload bytes of each variable-count entry, bounding hostile
 // counts before a reserve: an event is 2 flag bytes + wall_ms + two empty
-// strings; a sample is a fixed 65-byte block; a node entry is an empty
-// node_id + 2 flag bytes + five i64 counters + two empty vectors.
+// strings; a sample is a fixed 65-byte block; a health section is the
+// status byte + five i64 counters + two empty vectors.
 constexpr size_t kMinWireEventBytes = 18;
 constexpr size_t kWireHealthSampleBytes = 65;
-constexpr size_t kMinNodeHealthBytes = 54;
+constexpr size_t kMinNodeHealthBytes = 49;
 
 void PutWireEvent(const WireEvent& event, std::vector<uint8_t>* out) {
   PutU8(event.kind, out);
@@ -312,9 +312,7 @@ bool GetHealthSample(Reader* reader, WireHealthSample* sample) {
 }
 
 void PutNodeHealth(const NodeHealth& node, std::vector<uint8_t>* out) {
-  PutString(node.node_id, out);
   PutU8(node.status, out);
-  PutU8(node.is_router, out);
   PutI64(node.completed, out);
   PutI64(node.failovers, out);
   PutI64(node.divergence_checks, out);
@@ -331,9 +329,8 @@ void PutNodeHealth(const NodeHealth& node, std::vector<uint8_t>* out) {
 bool GetNodeHealth(Reader* reader, const std::vector<uint8_t>& payload,
                    NodeHealth* node) {
   uint32_t num_samples;
-  if (!reader->GetString(&node->node_id) || !reader->GetU8(&node->status) ||
-      node->status > kMaxWireHealthStatus || !reader->GetU8(&node->is_router) ||
-      node->is_router > 1 || !reader->GetI64(&node->completed) ||
+  if (!reader->GetU8(&node->status) || node->status > kMaxWireHealthStatus ||
+      !reader->GetI64(&node->completed) ||
       !reader->GetI64(&node->failovers) ||
       !reader->GetI64(&node->divergence_checks) ||
       !reader->GetI64(&node->divergence_mismatches) ||
@@ -361,15 +358,15 @@ bool GetNodeHealth(Reader* reader, const std::vector<uint8_t>& payload,
   return true;
 }
 
-// --- v8 profiling-plane helpers. Minimum bytes per variable-count entry,
+// --- Profile-section helpers. Minimum bytes per variable-count entry,
 // bounding hostile counts before a reserve: an attr/cond row is a u32 id +
 // an empty string + five i64 counters; a class row is a fixed 48-byte
-// block; a node entry is an empty node_id + flag byte + sample_period +
-// two i64 counters + three empty vectors + an empty plan_dot.
+// block; a profile section is sample_period + two i64 counters + three
+// empty vectors + an empty plan_dot.
 constexpr size_t kMinWireAttrProfileBytes = 48;
 constexpr size_t kMinWireCondProfileBytes = 48;
 constexpr size_t kWireClassProfileBytes = 48;
-constexpr size_t kMinNodeProfileBytes = 45;
+constexpr size_t kMinNodeProfileBytes = 40;
 
 void PutWireAttrProfile(const WireAttrProfile& row, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(row.attr), out);
@@ -434,8 +431,6 @@ bool GetWireClassProfile(Reader* reader, WireClassProfile* row) {
 }
 
 void PutNodeProfile(const NodeProfile& node, std::vector<uint8_t>* out) {
-  PutString(node.node_id, out);
-  PutU8(node.is_router, out);
   PutU64(node.sample_period, out);
   PutI64(node.profiled_requests, out);
   PutI64(node.total_requests, out);
@@ -453,8 +448,7 @@ void PutNodeProfile(const NodeProfile& node, std::vector<uint8_t>* out) {
 bool GetNodeProfile(Reader* reader, const std::vector<uint8_t>& payload,
                     NodeProfile* node) {
   uint32_t num_attrs;
-  if (!reader->GetString(&node->node_id) || !reader->GetU8(&node->is_router) ||
-      node->is_router > 1 || !reader->GetU64(&node->sample_period) ||
+  if (!reader->GetU64(&node->sample_period) ||
       !reader->GetI64(&node->profiled_requests) ||
       !reader->GetI64(&node->total_requests) || !reader->GetU32(&num_attrs)) {
     return false;
@@ -488,6 +482,35 @@ bool GetNodeProfile(Reader* reader, const std::vector<uint8_t>& payload,
     node->classes.push_back(row);
   }
   return reader->GetString(&node->plan_dot);
+}
+
+// A STATS node entry: identity, then the sections `sections` names, in
+// bit order. The smallest entry is an empty node_id + the is_router byte
+// + the requested sections at their minimum sizes.
+size_t MinNodeStatsBytes(uint8_t sections) {
+  return 5 + ((sections & kStatsMetrics) ? 4 : 0) +
+         ((sections & kStatsHealth) ? kMinNodeHealthBytes : 0) +
+         ((sections & kStatsProfile) ? kMinNodeProfileBytes : 0);
+}
+
+void PutNodeStats(const NodeStats& node, uint8_t sections,
+                  std::vector<uint8_t>* out) {
+  PutString(node.node_id, out);
+  PutU8(node.is_router, out);
+  if (sections & kStatsMetrics) PutString(node.metrics, out);
+  if (sections & kStatsHealth) PutNodeHealth(node.health, out);
+  if (sections & kStatsProfile) PutNodeProfile(node.profile, out);
+}
+
+bool GetNodeStats(Reader* reader, const std::vector<uint8_t>& payload,
+                  uint8_t sections, NodeStats* node) {
+  return reader->GetString(&node->node_id) &&
+         reader->GetU8(&node->is_router) && node->is_router <= 1 &&
+         (!(sections & kStatsMetrics) || reader->GetString(&node->metrics)) &&
+         (!(sections & kStatsHealth) ||
+          GetNodeHealth(reader, payload, &node->health)) &&
+         (!(sections & kStatsProfile) ||
+          GetNodeProfile(reader, payload, &node->profile));
 }
 
 bool GetIngressStats(Reader* reader, runtime::IngressStats* s) {
@@ -918,76 +941,48 @@ void EncodeGoodbyeAck(std::vector<uint8_t>* out) {
   SealFrame(BeginFrame(MsgType::kGoodbyeAck, out), out);
 }
 
-void EncodeMetricsRequest(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kMetricsRequest, out), out);
-}
-
-void EncodeMetrics(const std::string& text, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kMetrics, out);
-  PutString(text, out);
+void EncodeStatsRequest(const StatsRequest& msg, std::vector<uint8_t>* out) {
+  const size_t frame = BeginFrame(MsgType::kStatsRequest, out);
+  PutU64(msg.request_id, out);
+  PutU8(msg.sections, out);
   SealFrame(frame, out);
 }
 
-bool DecodeMetrics(const std::vector<uint8_t>& payload, std::string* out) {
+bool DecodeStatsRequest(const std::vector<uint8_t>& payload,
+                        StatsRequest* out) {
   Reader reader(payload);
-  return reader.GetString(out) && reader.Done();
+  return reader.GetU64(&out->request_id) && reader.GetU8(&out->sections) &&
+         (out->sections & ~kStatsAllSections) == 0 && reader.Done();
 }
 
-void EncodeHealthRequest(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kHealthRequest, out), out);
-}
-
-void EncodeHealth(const HealthInfo& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kHealth, out);
-  PutNodeHealth(msg.self, out);
+void EncodeStats(const StatsInfo& msg, std::vector<uint8_t>* out) {
+  const size_t frame = BeginFrame(MsgType::kStats, out);
+  PutU64(msg.request_id, out);
+  PutU8(msg.sections, out);
+  PutNodeStats(msg.self, msg.sections, out);
   PutU32(static_cast<uint32_t>(msg.backends.size()), out);
-  for (const NodeHealth& backend : msg.backends) {
-    PutNodeHealth(backend, out);
+  for (const NodeStats& backend : msg.backends) {
+    PutNodeStats(backend, msg.sections, out);
   }
   SealFrame(frame, out);
 }
 
-bool DecodeHealth(const std::vector<uint8_t>& payload, HealthInfo* out) {
+bool DecodeStats(const std::vector<uint8_t>& payload, StatsInfo* out) {
   Reader reader(payload);
-  if (!GetNodeHealth(&reader, payload, &out->self)) return false;
   uint32_t num_backends;
-  if (!reader.GetU32(&num_backends)) return false;
-  if (num_backends > payload.size() / kMinNodeHealthBytes) return false;
+  out->self = NodeStats{};  // sections the mask leaves out stay default
+  if (!reader.GetU64(&out->request_id) || !reader.GetU8(&out->sections) ||
+      (out->sections & ~kStatsAllSections) != 0 ||
+      !GetNodeStats(&reader, payload, out->sections, &out->self) ||
+      !reader.GetU32(&num_backends) ||
+      num_backends > payload.size() / MinNodeStatsBytes(out->sections)) {
+    return false;
+  }
   out->backends.clear();
   out->backends.reserve(num_backends);
   for (uint32_t i = 0; i < num_backends; ++i) {
-    NodeHealth backend;
-    if (!GetNodeHealth(&reader, payload, &backend)) return false;
-    out->backends.push_back(std::move(backend));
-  }
-  return reader.Done();
-}
-
-void EncodeProfileRequest(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kProfileRequest, out), out);
-}
-
-void EncodeProfile(const ProfileInfo& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kProfile, out);
-  PutNodeProfile(msg.self, out);
-  PutU32(static_cast<uint32_t>(msg.backends.size()), out);
-  for (const NodeProfile& backend : msg.backends) {
-    PutNodeProfile(backend, out);
-  }
-  SealFrame(frame, out);
-}
-
-bool DecodeProfile(const std::vector<uint8_t>& payload, ProfileInfo* out) {
-  Reader reader(payload);
-  if (!GetNodeProfile(&reader, payload, &out->self)) return false;
-  uint32_t num_backends;
-  if (!reader.GetU32(&num_backends)) return false;
-  if (num_backends > payload.size() / kMinNodeProfileBytes) return false;
-  out->backends.clear();
-  out->backends.reserve(num_backends);
-  for (uint32_t i = 0; i < num_backends; ++i) {
-    NodeProfile backend;
-    if (!GetNodeProfile(&reader, payload, &backend)) return false;
+    NodeStats backend;
+    if (!GetNodeStats(&reader, payload, out->sections, &backend)) return false;
     out->backends.push_back(std::move(backend));
   }
   return reader.Done();
@@ -1036,7 +1031,7 @@ std::optional<Frame> FrameAssembler::Next() {
     error_ = WireError::kMalformedFrame;
     return std::nullopt;
   }
-  if (header[2] < kMinSupportedWireVersion || header[2] > kWireVersion) {
+  if (header[2] != kWireVersion) {
     error_ = WireError::kUnsupportedVersion;
     return std::nullopt;
   }
@@ -1055,7 +1050,6 @@ std::optional<Frame> FrameAssembler::Next() {
   frame.type = header[3];
   frame.payload.assign(header + kFrameHeaderBytes,
                        header + kFrameHeaderBytes + payload_len);
-  last_version_ = header[2];
   consumed_ += kFrameHeaderBytes + payload_len;
   return frame;
 }

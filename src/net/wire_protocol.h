@@ -15,7 +15,7 @@
 
 namespace dflow::net {
 
-// The dflow wire protocol, version 1: length-prefixed binary frames over a
+// The dflow wire protocol: length-prefixed binary frames over a
 // TCP byte stream. Every frame is
 //
 //   +------+------+---------+------+----------------+===============+
@@ -33,52 +33,13 @@ namespace dflow::net {
 // connection stays usable (framing is still intact).
 inline constexpr uint8_t kMagic0 = 'D';
 inline constexpr uint8_t kMagic1 = 'F';
-// Version history: v1 was the original ingress protocol; v2 extended the
-// Info payload with the node identity and the routing-tier section
-// (node_id, RouterStats); v3 added the executed strategy to SubmitResult
-// and the strategy-advisor section (AUTO flag, calibration fingerprint,
-// selection histogram) to Info. v4 added observability: an OPTIONAL
-// trace-context extension on Submit (flag-gated trailing bytes — a client
-// that never sets the flag produces payloads byte-identical to v3 apart
-// from the version byte, so v3-era client code recompiled against v4 is
-// unaffected), an always-present span timing trailer on SubmitResult, and
-// the MetricsRequest/Metrics scrape pair. v5 added the replicated-fleet
-// fields: a fleet-epoch stamp on ServerInfo (a router refuses a replica
-// set whose members disagree on it), replica/failover counters on the
-// routing-tier section, and per-backend slot/replica placement. v6 added
-// the fleet health plane: the HealthRequest/Health scrape pair carrying a
-// node's journal tail (structured events), its recent rate time series,
-// and the ok/degraded/critical status verdict — a router answers with its
-// own plane plus one entry per polled backend, so one request sees the
-// whole fleet. v7 added pipelined batch submission: the BATCH_SUBMIT frame
-// carries many requests under one header and one contiguous ticket range
-// (request_id_base .. base+count-1), each answered by an ordinary
-// SUBMIT_RESULT/ERROR frame byte-identical to what the same request
-// submitted alone would have produced. v7 is purely additive — every v6
-// payload is unchanged — so v7 receivers accept v6 frames
-// (kMinSupportedWireVersion), and both front doors echo the version a
-// peer spoke when stamping response headers (EventConn::PushResponse): a
-// v6-era client sends v6 frames AND receives v6-stamped replies its own
-// assembler accepts, so it keeps working against a v7 server as long as
-// it never sends the new frame type. Earlier bumps make a mixed-version
-// fleet fail with a detectable UNSUPPORTED_VERSION instead of a silent
-// decode error. v8 added the plan-profiling plane: the
-// PROFILE_REQUEST/PROFILE scrape pair carrying a node's merged
-// obs::FlowProfiler snapshot — per-attribute launch/work/speculation
-// outcomes, per-condition tribool tallies (measured selectivity), the
-// per-request-class rollups, and an EXPLAIN-style annotated plan DOT — a
-// router answers with its own (engine-less) entry plus one per polled
-// backend, mirroring the v6 health fan-out. Like v7, v8 is purely
-// additive: every v6/v7 payload is unchanged, so v6-era clients keep
-// working as long as they never send the new frame types.
-inline constexpr uint8_t kWireVersion = 8;
-// Oldest version this build still accepts on ingest. Clients stamp
-// kWireVersion on requests; the FrameAssembler accepts the closed range
-// [kMinSupportedWireVersion, kWireVersion], and servers stamp each
-// response with the version its connection's peer last spoke (see
-// FrameAssembler::last_frame_version) so every reply is readable by a
-// genuine build of that version.
-inline constexpr uint8_t kMinSupportedWireVersion = 6;
+// One version, strictly: every frame carries kWireVersion and a receiver
+// accepts exactly that version. A peer speaking any other version gets a
+// final UNSUPPORTED_VERSION error and the connection closes, so a mixed
+// fleet fails loudly at the first frame instead of misparsing payloads.
+// Every client and server is built from this repository, so there is no
+// compatibility window to keep.
+inline constexpr uint8_t kWireVersion = 9;
 inline constexpr size_t kFrameHeaderBytes = 8;
 // Default ceiling on one frame's payload. Generous for request/response
 // traffic (a submit is dominated by its source bindings) while bounding
@@ -94,14 +55,20 @@ enum class MsgType : uint8_t {
   kInfo = 5,          // info response
   kGoodbye = 6,       // graceful close: server flushes, acks, disconnects
   kGoodbyeAck = 7,    // goodbye acknowledgment (empty payload)
-  kMetricsRequest = 8,  // metrics scrape (empty payload)
-  kMetrics = 9,         // text exposition response (one length-prefixed string)
-  kHealthRequest = 10,  // fleet health scrape (empty payload)
-  kHealth = 11,         // health response: status + journal tail + series
-  kBatchSubmit = 12,    // v7: many submits, one frame, one ticket range
-  kProfileRequest = 13,  // v8: plan-profile scrape (empty payload)
-  kProfile = 14,         // v8: profile response (fleet-merged on routers)
+  // 8-11, 13 and 14 belonged to retired scrape frames and are never
+  // reused.
+  kBatchSubmit = 12,   // many submits, one frame, one ticket range
+  kStatsRequest = 15,  // introspection scrape: request_id + section mask
+  kStats = 16,         // the requested sections, fleet-wide on routers
 };
+
+// Section bits of a STATS_REQUEST (and of the STATS answering it). Any
+// other bit is malformed.
+inline constexpr uint8_t kStatsMetrics = 1;  // Prometheus text exposition
+inline constexpr uint8_t kStatsHealth = 2;   // status, rate series, journal
+inline constexpr uint8_t kStatsProfile = 4;  // plan profile (paper section 3)
+inline constexpr uint8_t kStatsAllSections =
+    kStatsMetrics | kStatsHealth | kStatsProfile;
 
 // Typed error codes carried by kError frames.
 enum class WireError : uint16_t {
@@ -353,7 +320,7 @@ struct ServerInfo {
   friend bool operator==(const ServerInfo&, const ServerInfo&) = default;
 };
 
-// One structured journal entry on the wire (the v6 health plane). kind is
+// One structured journal entry on the wire (the health section). kind is
 // an obs::EventKind value and severity an obs::Severity value; both travel
 // as raw bytes and are range-checked on decode.
 struct WireEvent {
@@ -384,13 +351,11 @@ struct WireHealthSample {
                          const WireHealthSample&) = default;
 };
 
-// One node's health plane: identity, verdict, the counters dflow_top
-// cross-checks against the Prometheus exposition, the recent rate series
-// (oldest first), and the journal tail (oldest first).
+// One node's health section: verdict, the counters dflow_top cross-checks
+// against the Prometheus exposition, the recent rate series (oldest
+// first), and the journal tail (oldest first).
 struct NodeHealth {
-  std::string node_id;
   uint8_t status = 0;     // obs::HealthStatus
-  uint8_t is_router = 0;  // discriminates a router's own plane
   int64_t completed = 0;  // requests completed (router: results relayed)
   int64_t failovers = 0;
   int64_t divergence_checks = 0;
@@ -402,18 +367,7 @@ struct NodeHealth {
   friend bool operator==(const NodeHealth&, const NodeHealth&) = default;
 };
 
-// Answers kHealthRequest. A plain server sends only `self`; a router sends
-// its own plane as `self` plus one entry per backend it could poll (a
-// backend that is down or timed out contributes a synthesized critical
-// entry, so the fleet view never silently omits a member).
-struct HealthInfo {
-  NodeHealth self;
-  std::vector<NodeHealth> backends;
-
-  friend bool operator==(const HealthInfo&, const HealthInfo&) = default;
-};
-
-// One attribute's execution profile on the wire (the v8 profiling plane):
+// One attribute's execution profile on the wire (the profile section):
 // obs::AttrProfile plus the identity that makes rows self-describing, so
 // dflow_top needs no schema to render the hot-attribute table.
 struct WireAttrProfile {
@@ -459,14 +413,12 @@ struct WireClassProfile {
                          const WireClassProfile&) = default;
 };
 
-// One node's plan profile: identity, sampling shape, the three profile
-// tables, and the EXPLAIN-style plan view (the schema DAG in DOT notation
-// annotated with measured stats — rendered server-side because only the
-// serving node holds the schema). A router's own entry is engine-less
-// (is_router = 1, empty tables); the fleet data lives in `backends`.
+// One node's plan profile: sampling shape, the three profile tables, and
+// the EXPLAIN-style plan view (the schema DAG in DOT notation annotated
+// with measured stats — rendered server-side because only the serving
+// node holds the schema). A router's own entry is engine-less (empty
+// tables); the fleet data lives in the backends' entries.
 struct NodeProfile {
-  std::string node_id;
-  uint8_t is_router = 0;
   uint64_t sample_period = 0;
   int64_t profiled_requests = 0;
   int64_t total_requests = 0;
@@ -478,15 +430,42 @@ struct NodeProfile {
   friend bool operator==(const NodeProfile&, const NodeProfile&) = default;
 };
 
-// Answers kProfileRequest, mirroring the HealthInfo fan-out: a plain
-// server sends only `self`; a router sends its own entry plus one per
-// polled backend (a down backend contributes a synthesized empty entry so
-// the fleet view never silently omits a member).
-struct ProfileInfo {
-  NodeProfile self;
-  std::vector<NodeProfile> backends;
+// Client -> server: which STATS sections to answer with. `request_id` is
+// echoed in the STATS reply; a router polling its backends puts a
+// router-issued ticket here, so a late answer never fills a later poll.
+struct StatsRequest {
+  uint64_t request_id = 0;
+  uint8_t sections = 0;  // kStats* bits
 
-  friend bool operator==(const ProfileInfo&, const ProfileInfo&) = default;
+  friend bool operator==(const StatsRequest&, const StatsRequest&) = default;
+};
+
+// One node's entry in a STATS answer: its identity, then only the
+// sections the request asked for (the others stay default-constructed and
+// do not travel).
+struct NodeStats {
+  std::string node_id;
+  uint8_t is_router = 0;
+  std::string metrics;  // kStatsMetrics: Prometheus text exposition
+  NodeHealth health;    // kStatsHealth
+  NodeProfile profile;  // kStatsProfile
+
+  friend bool operator==(const NodeStats&, const NodeStats&) = default;
+};
+
+// Server -> client: answers kStatsRequest. A plain server sends only
+// `self`; a router sends its own entry plus one per backend (a backend
+// that is down or missed the poll deadline contributes a synthesized
+// entry — critical health, identity-only profile — so the fleet view
+// never silently omits a member). `sections` repeats the request's mask
+// and says which sections every entry carries.
+struct StatsInfo {
+  uint64_t request_id = 0;
+  uint8_t sections = 0;
+  NodeStats self;
+  std::vector<NodeStats> backends;
+
+  friend bool operator==(const StatsInfo&, const StatsInfo&) = default;
 };
 
 // --- Encoders. Each appends one complete frame (header + payload) to
@@ -500,12 +479,8 @@ void EncodeInfoRequest(std::vector<uint8_t>* out);
 void EncodeInfo(const ServerInfo& msg, std::vector<uint8_t>* out);
 void EncodeGoodbye(std::vector<uint8_t>* out);
 void EncodeGoodbyeAck(std::vector<uint8_t>* out);
-void EncodeMetricsRequest(std::vector<uint8_t>* out);
-void EncodeMetrics(const std::string& text, std::vector<uint8_t>* out);
-void EncodeHealthRequest(std::vector<uint8_t>* out);
-void EncodeHealth(const HealthInfo& msg, std::vector<uint8_t>* out);
-void EncodeProfileRequest(std::vector<uint8_t>* out);
-void EncodeProfile(const ProfileInfo& msg, std::vector<uint8_t>* out);
+void EncodeStatsRequest(const StatsRequest& msg, std::vector<uint8_t>* out);
+void EncodeStats(const StatsInfo& msg, std::vector<uint8_t>* out);
 
 // --- Decoders. Each parses the *payload* of a frame whose header named the
 // matching type. Returns false (leaving *out unspecified) when the payload
@@ -518,9 +493,9 @@ bool DecodeSubmitResult(const std::vector<uint8_t>& payload,
                         SubmitResult* out);
 bool DecodeError(const std::vector<uint8_t>& payload, ErrorReply* out);
 bool DecodeInfo(const std::vector<uint8_t>& payload, ServerInfo* out);
-bool DecodeMetrics(const std::vector<uint8_t>& payload, std::string* out);
-bool DecodeHealth(const std::vector<uint8_t>& payload, HealthInfo* out);
-bool DecodeProfile(const std::vector<uint8_t>& payload, ProfileInfo* out);
+bool DecodeStatsRequest(const std::vector<uint8_t>& payload,
+                        StatsRequest* out);
+bool DecodeStats(const std::vector<uint8_t>& payload, StatsInfo* out);
 
 // One complete frame as split off the stream by the FrameAssembler. `type`
 // is the raw on-wire byte: values outside MsgType are surfaced to the
@@ -579,18 +554,12 @@ class FrameAssembler {
   WireError error() const { return error_; }
   // Bytes buffered but not yet consumed as frames (diagnostics).
   size_t buffered_bytes() const { return buffer_.size() - consumed_; }
-  // Header version of the most recent frame Next() yielded (kWireVersion
-  // until the first one) — the version this peer speaks, within the
-  // accepted range. Servers echo it when stamping responses so an
-  // older-version peer receives frames its own assembler accepts.
-  uint8_t last_frame_version() const { return last_version_; }
 
  private:
   const uint32_t max_payload_bytes_;
   std::vector<uint8_t> buffer_;
   size_t consumed_ = 0;  // prefix of buffer_ already handed out as frames
   WireError error_ = WireError::kNone;
-  uint8_t last_version_ = kWireVersion;
 };
 
 // A 64-bit digest of everything the determinism contract promises about an

@@ -16,7 +16,7 @@ class MetricsRegistry;
 
 // The fleet event taxonomy: everything operationally interesting that is
 // NOT a per-request fact (those are traces). The enum value doubles as the
-// on-wire kind byte in HEALTH frames, so values are append-only.
+// on-wire kind byte in STATS health sections, so values are append-only.
 enum class EventKind : uint8_t {
   kBackendDeath = 1,       // a pooled backend connection died
   kBackendReconnect = 2,   // a previously-dead backend came back
@@ -28,7 +28,7 @@ enum class EventKind : uint8_t {
   kAdvisorExplore = 8,     // the AUTO advisor ran explore-epoch selections
   kHealthTransition = 9,   // the health status gauge changed level
   kWatermark = 10,         // a watermark rule breached (queue, SLO, flap)
-  kProfileSnapshot = 11,   // a plan profile was rotated/promoted (v8)
+  kProfileSnapshot = 11,   // a plan profile was rotated/promoted
 };
 
 inline constexpr uint8_t kMinEventKind = 1;
@@ -45,7 +45,7 @@ const char* ToString(Severity severity);
 
 // One journal entry. `detail` is a short free-form "key=value key=value"
 // string — structured enough for grep and the dflow_top event pane, cheap
-// enough to ship in HEALTH frames.
+// enough to ship in STATS frames.
 struct Event {
   EventKind kind = EventKind::kBackendDeath;
   Severity severity = Severity::kInfo;

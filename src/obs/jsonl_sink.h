@@ -8,6 +8,12 @@
 
 namespace dflow::obs {
 
+// Escapes `text` for embedding inside a JSON string literal: quotes,
+// backslashes and control bytes. Every hand-built JSON line in the system
+// goes through it, because node ids, attribute names and strategies are
+// operator- or schema-chosen strings.
+std::string JsonEscape(const std::string& text);
+
 // A thread-safe append-only JSONL file sink with an explicit Flush() hook
 // and a byte-budget rotation rule, shared by the trace recorder and the
 // event journal. Appends are line-buffered through stdio under one mutex;

@@ -52,7 +52,7 @@ struct HealthSources {
 
 struct HealthOptions {
   // Snapshot cadence in seconds; <= 0 disables the collector thread
-  // entirely (SampleOnce still works for tests and HEALTH serving).
+  // entirely (SampleOnce still works for tests and STATS serving).
   double interval_s = 1.0;
   // Samples retained in the ring (default: 2 minutes at 1s cadence).
   size_t ring_capacity = 120;

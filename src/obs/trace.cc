@@ -220,13 +220,22 @@ std::string ToJsonLine(const RequestTrace::View& view,
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "{\"trace_id\":\"%016" PRIx64 "\",\"seed\":%" PRIu64
-                ",\"node\":\"%s\",\"shard\":%d,\"strategy\":\"%s\","
-                "\"cache_hit\":%s,\"queue_depth\":%" PRIu64
-                ",\"wall_us\":%.3f,\"spans\":[",
-                view.trace_id, view.seed, node.c_str(), view.shard,
-                view.strategy.c_str(), view.cache_hit ? "true" : "false",
-                view.queue_depth, static_cast<double>(view.wall_ns) / 1e3);
+                ",\"node\":\"",
+                view.trace_id, view.seed);
+  // node and strategy are operator-chosen strings: escaped, and appended
+  // outside the fixed-size buffer so a long node id is never truncated.
   std::string out = buf;
+  out += JsonEscape(node);
+  std::snprintf(buf, sizeof(buf), "\",\"shard\":%d,\"strategy\":\"",
+                view.shard);
+  out += buf;
+  out += JsonEscape(view.strategy);
+  std::snprintf(buf, sizeof(buf),
+                "\",\"cache_hit\":%s,\"queue_depth\":%" PRIu64
+                ",\"wall_us\":%.3f,\"spans\":[",
+                view.cache_hit ? "true" : "false", view.queue_depth,
+                static_cast<double>(view.wall_ns) / 1e3);
+  out += buf;
   bool first = true;
   for (const Span& span : SortedSpans(view)) {
     std::snprintf(buf, sizeof(buf),

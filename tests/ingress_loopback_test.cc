@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/schema_builder.h"
 #include "gen/schema_generator.h"
 #include "net/client.h"
 #include "net/ingress_server.h"
@@ -654,7 +656,7 @@ TEST(IngressLoopbackTest, OutboxStatsSurfaceThroughIngressStats) {
   EXPECT_EQ(second.outbox_write_stalls, first.outbox_write_stalls);
 }
 
-TEST(IngressLoopbackTest, MetricsFrameScrapesTheRegistry) {
+TEST(IngressLoopbackTest, StatsMetricsSectionScrapesTheRegistry) {
   const gen::GeneratedSchema pattern = MakePattern(29);
   runtime::FlowServerOptions server_options;
   server_options.num_shards = 2;
@@ -682,9 +684,12 @@ TEST(IngressLoopbackTest, MetricsFrameScrapesTheRegistry) {
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(client.SendMetricsRequest());
-  const std::optional<std::string> text = client.Metrics();
-  ASSERT_TRUE(text.has_value());
+  const std::optional<StatsInfo> stats = client.Stats(kStatsMetrics);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->sections, kStatsMetrics);
+  EXPECT_EQ(stats->self.is_router, 0);
+  EXPECT_TRUE(stats->backends.empty());
+  const std::string* text = &stats->self.metrics;
   for (const char* family :
        {"# TYPE dflow_requests_accepted_total counter",
         "# TYPE dflow_completed_total counter",
@@ -721,103 +726,53 @@ TEST(IngressLoopbackTest, BatchedResultsAreByteIdenticalToSingletons) {
   }
 }
 
-// v7 is additive: a v6-era client (frames stamped version 6, never the
-// new BATCH_SUBMIT type) shares the server with a v7 batch client and
-// both see the same bytes for the same seeds, while a frame stamped below
-// kMinSupportedWireVersion gets the final UNSUPPORTED_VERSION error and
-// an orderly close.
-TEST(IngressLoopbackTest, MixedVersionClientsShareTheServer) {
-  const gen::GeneratedSchema pattern = MakePattern(37);
-  runtime::FlowServerOptions server_options;
-  server_options.num_shards = 2;
-  server_options.strategy = S("PSE100");
-  IngressServer server(&pattern.schema, server_options, IngressOptions{});
+// The profile JSONL sink carries operator- and schema-chosen strings: a
+// quote or a backslash in the node id or an attribute name must come out
+// escaped, never break the line.
+TEST(IngressLoopbackTest, ProfileSinkEscapesNodeIdAndAttributeNames) {
+  core::SchemaBuilder builder;
+  const AttributeId source = builder.AddSource("src");
+  builder.AddQuery(
+      "a\"b\\c", 1,
+      [](const core::TaskContext&) { return Value::Int(1); }, {source},
+      expr::Condition::True(), /*is_target=*/true);
   std::string error;
+  const std::optional<core::Schema> schema = builder.Build(&error);
+  ASSERT_TRUE(schema.has_value()) << error;
+
+  const std::string path =
+      ::testing::TempDir() + "/ingress_escaped_profile.jsonl";
+  std::remove(path.c_str());
+  runtime::FlowServerOptions server_options;
+  server_options.num_shards = 1;
+  server_options.strategy = S("PSE100");
+  server_options.profile_sample_period = 1;
+  IngressOptions ingress_options;
+  ingress_options.node_id = "x\"y\\z";
+  ingress_options.profile_jsonl_path = path;
+  IngressServer server(&*schema, server_options, ingress_options);
   ASSERT_TRUE(server.Start(&error)) << error;
-  const std::vector<runtime::FlowRequest> requests = MakeWorkload(pattern, 8);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  SubmitRequest submit;
+  submit.request_id = 1;
+  submit.seed = 3;
+  submit.sources = {{source, Value::Int(2)}};
+  const std::optional<ServerMessage> reply = client.Call(submit);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kSubmitResult);
+  EXPECT_TRUE(client.Goodbye());
+  server.Stop();  // the drain writes the profile line
 
-  // The v7 side: one batch over the Client API.
-  Client batch_client;
-  ASSERT_TRUE(batch_client.Connect("127.0.0.1", server.port(), &error))
-      << error;
-  std::vector<BatchItem> items;
-  for (const runtime::FlowRequest& request : requests) {
-    items.push_back(BatchItem{request.seed, request.sources});
-  }
-  const TicketRange range = batch_client.SubmitBatch(items);
-  ASSERT_TRUE(range.ok());
-  std::map<uint64_t, uint64_t> batched_fingerprints;  // seed -> fingerprint
-  ASSERT_TRUE(batch_client.DrainCompletions([&](const Completion& done) {
-    ASSERT_EQ(done.type, MsgType::kSubmitResult);
-    ASSERT_TRUE(range.Contains(done.request_id));
-    const size_t index =
-        static_cast<size_t>(done.request_id - range.first_id);
-    batched_fingerprints[requests[index].seed] = done.result.fingerprint;
-  }));
-  ASSERT_EQ(batched_fingerprints.size(), requests.size());
-  EXPECT_TRUE(batch_client.Goodbye());
-
-  // The v6 side: a raw socket re-stamping every outgoing frame to the
-  // oldest supported version before it ships. Served unchanged.
-  Socket raw = Socket::ConnectTcp("127.0.0.1", server.port(), &error);
-  ASSERT_TRUE(raw.valid()) << error;
-  FrameAssembler assembler;
-  auto read_frame = [&]() -> std::optional<Frame> {
-    uint8_t chunk[4096];
-    while (true) {
-      if (std::optional<Frame> frame = assembler.Next()) return frame;
-      if (assembler.error() != WireError::kNone) return std::nullopt;
-      const ssize_t n = raw.Recv(chunk, sizeof(chunk));
-      if (n <= 0) return std::nullopt;
-      assembler.Feed(chunk, static_cast<size_t>(n));
-    }
-  };
-  for (size_t i = 0; i < requests.size(); ++i) {
-    SubmitRequest submit;
-    submit.request_id = i + 1;
-    submit.seed = requests[i].seed;
-    submit.sources = requests[i].sources;
-    std::vector<uint8_t> encoded;
-    EncodeSubmit(submit, &encoded);
-    encoded[2] = kMinSupportedWireVersion;  // what a v6 build stamps
-    ASSERT_TRUE(raw.SendAll(encoded.data(), encoded.size()));
-  }
-  std::map<uint64_t, uint64_t> v6_fingerprints;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const std::optional<Frame> frame = read_frame();
-    ASSERT_TRUE(frame.has_value());
-    // The server echoes the version the peer spoke: a genuine v6 build's
-    // assembler rejects any other stamp, so this is what makes the
-    // mixed-version claim real rather than an artifact of the v7 test
-    // assembler accepting both versions.
-    EXPECT_EQ(assembler.last_frame_version(), kMinSupportedWireVersion);
-    ASSERT_EQ(frame->type, static_cast<uint8_t>(MsgType::kSubmitResult));
-    SubmitResult result;
-    ASSERT_TRUE(DecodeSubmitResult(frame->payload, &result));
-    ASSERT_GE(result.request_id, 1u);
-    ASSERT_LE(result.request_id, requests.size());
-    v6_fingerprints[requests[result.request_id - 1].seed] =
-        result.fingerprint;
-  }
-  EXPECT_EQ(v6_fingerprints, batched_fingerprints);
-
-  // Below the support floor the stream is unrecoverable: the typed final
-  // error, then EOF.
-  std::vector<uint8_t> stale;
-  EncodeInfoRequest(&stale);
-  stale[2] = kMinSupportedWireVersion - 1;
-  ASSERT_TRUE(raw.SendAll(stale.data(), stale.size()));
-  const std::optional<Frame> frame = read_frame();
-  ASSERT_TRUE(frame.has_value());
-  // Even the final error is stamped with the last version the peer spoke.
-  EXPECT_EQ(assembler.last_frame_version(), kMinSupportedWireVersion);
-  ASSERT_EQ(frame->type, static_cast<uint8_t>(MsgType::kError));
-  ErrorReply reply;
-  ASSERT_TRUE(DecodeError(frame->payload, &reply));
-  EXPECT_EQ(reply.code, WireError::kUnsupportedVersion);
-  uint8_t byte;
-  EXPECT_EQ(raw.Recv(&byte, 1), 0);  // orderly close
-  server.Stop();
+  std::FILE* file = std::fopen(path.c_str(), "r");
+  ASSERT_NE(file, nullptr);
+  char line[4096] = {0};
+  ASSERT_NE(std::fgets(line, sizeof(line), file), nullptr);
+  std::fclose(file);
+  const std::string text = line;
+  EXPECT_NE(text.find(R"("node":"x\"y\\z")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("name":"a\"b\\c")"), std::string::npos) << text;
+  std::remove(path.c_str());
 }
 
 // An ok() TicketRange owes exactly count completions, even when the whole

@@ -210,6 +210,34 @@ TEST(TraceRecorderTest, JsonlSinkAppendsOneParseableLinePerTrace) {
   std::remove(path.c_str());
 }
 
+// Node ids and strategies are operator-chosen strings: a quote or a
+// backslash in either must come out escaped, never break the JSONL line.
+TEST(TraceRecorderTest, JsonlSinkEscapesNodeAndStrategy) {
+  const std::string path =
+      ::testing::TempDir() + "/obs_test_escaped_traces.jsonl";
+  std::remove(path.c_str());
+  {
+    TraceRecorderOptions options;
+    options.sample_period = 1;
+    options.jsonl_path = path;
+    TraceRecorder recorder(options, /*node=*/"x\"y\\z");
+    const auto trace = recorder.Begin(/*seed=*/5);
+    trace->SetExecution(/*shard=*/0, /*queue_depth=*/0, "P\"S\\E",
+                        /*cache_hit=*/false);
+    recorder.Finish(trace, /*wall_ns=*/100);
+  }
+  std::FILE* file = std::fopen(path.c_str(), "r");
+  ASSERT_NE(file, nullptr);
+  char line[1024] = {0};
+  ASSERT_NE(std::fgets(line, sizeof(line), file), nullptr);
+  std::fclose(file);
+  const std::string text = line;
+  EXPECT_NE(text.find(R"("node":"x\"y\\z")"), std::string::npos) << text;
+  EXPECT_NE(text.find(R"("strategy":"P\"S\\E")"), std::string::npos)
+      << text;
+  std::remove(path.c_str());
+}
+
 TEST(TraceRecorderTest, SlowLogCountsOnlyTracesOverTheThreshold) {
   TraceRecorderOptions options;
   options.slow_ms = 1.0;  // 1ms
@@ -419,27 +447,6 @@ TEST(WireTraceTest, AppendResultSpanPatchesTheTrailerInPlace) {
   std::vector<uint8_t> tiny(4, 0);
   EXPECT_FALSE(net::AppendResultSpan(&tiny, 1, 1, 0, 0));
   EXPECT_EQ(tiny.size(), 4u);
-}
-
-TEST(WireTraceTest, MetricsFramesRoundTrip) {
-  const std::string exposition =
-      "# TYPE dflow_x counter\ndflow_x 1\n";
-  std::vector<uint8_t> stream;
-  net::EncodeMetrics(exposition, &stream);
-  const std::optional<net::Frame> frame = OneFrame(stream);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, static_cast<uint8_t>(net::MsgType::kMetrics));
-  std::string decoded;
-  ASSERT_TRUE(net::DecodeMetrics(frame->payload, &decoded));
-  EXPECT_EQ(decoded, exposition);
-
-  std::vector<uint8_t> request_stream;
-  net::EncodeMetricsRequest(&request_stream);
-  const std::optional<net::Frame> request_frame = OneFrame(request_stream);
-  ASSERT_TRUE(request_frame.has_value());
-  EXPECT_EQ(request_frame->type,
-            static_cast<uint8_t>(net::MsgType::kMetricsRequest));
-  EXPECT_TRUE(request_frame->payload.empty());
 }
 
 }  // namespace

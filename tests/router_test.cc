@@ -24,6 +24,7 @@
 #include "net/client.h"
 #include "net/ingress_server.h"
 #include "net/router.h"
+#include "net/socket.h"
 #include "net/wire_protocol.h"
 #include "obs/event_log.h"
 #include "obs/timeseries.h"
@@ -717,8 +718,8 @@ TEST(RouterTest, RoutedTraceCoversRouterAndBackendStages) {
             static_cast<int64_t>(requests.size()) + 1);
 }
 
-// The router front door accounts its outboxes and serves its registry
-// over the same kMetricsRequest frame the backends answer.
+// The router front door accounts its outboxes and serves its registry as
+// the metrics section of the same STATS frame the backends answer.
 TEST(RouterTest, FrontStatsAndMetricsScrapeExposeTheRoutingTier) {
   const gen::GeneratedSchema pattern = MakePattern(47);
   const std::vector<runtime::FlowRequest> requests =
@@ -732,9 +733,15 @@ TEST(RouterTest, FrontStatsAndMetricsScrapeExposeTheRoutingTier) {
   std::string error;
   ASSERT_TRUE(client.Connect("127.0.0.1", fleet->router->port(), &error))
       << error;
-  ASSERT_TRUE(client.SendMetricsRequest());
-  const std::optional<std::string> text = client.Metrics();
-  ASSERT_TRUE(text.has_value());
+  const std::optional<StatsInfo> stats = client.Stats(kStatsMetrics);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->self.is_router, 1);
+  ASSERT_EQ(stats->backends.size(), 2u);
+  for (const NodeStats& backend : stats->backends) {
+    EXPECT_NE(backend.metrics.find("dflow_completed_total"),
+              std::string::npos);
+  }
+  const std::string* text = &stats->self.metrics;
   for (const char* needle :
        {"# TYPE dflow_requests_routed_total counter",
         "dflow_requests_routed_total 20", "dflow_relayed_results_total 20",
@@ -784,6 +791,12 @@ class TcpProxy {
   // connection stays up, answers just never arrive). Only meaningful on a
   // proxy that is about to be killed.
   void StallResponses() { stall_responses_ = true; }
+
+  // While held, backend -> router bytes are buffered instead of relayed.
+  // After ReleaseResponses() the buffer goes out just ahead of the next
+  // bytes the backend sends: late answers arrive right before fresh ones.
+  void HoldResponses() { hold_responses_ = true; }
+  void ReleaseResponses() { hold_responses_ = false; }
 
   // Abrupt death. Idempotent.
   void Kill() {
@@ -837,6 +850,14 @@ class TcpProxy {
       const ssize_t n = from->Recv(buffer, sizeof(buffer));
       if (n <= 0) break;
       if (is_response && stall_responses_) continue;  // swallow
+      if (is_response && hold_responses_) {
+        held_.insert(held_.end(), buffer, buffer + n);
+        continue;
+      }
+      if (is_response && !held_.empty()) {
+        if (!to->SendAll(held_.data(), held_.size())) break;
+        held_.clear();
+      }
       if (!to->SendAll(buffer, static_cast<size_t>(n))) break;
     }
     to->ShutdownWrite();
@@ -848,6 +869,8 @@ class TcpProxy {
   std::thread acceptor_;
   std::atomic<bool> killed_{false};
   std::atomic<bool> stall_responses_{false};
+  std::atomic<bool> hold_responses_{false};
+  std::vector<uint8_t> held_;  // response pump only (one proxied pair)
   std::mutex mu_;
   std::vector<std::shared_ptr<Pair>> pairs_;
   std::vector<std::thread> pumps_;
@@ -1022,7 +1045,7 @@ TEST(RouterTest, AbruptPrimaryDeathReissuesInflightBurstWithoutErrors) {
 }
 
 // PR 8 end to end over the wire: a live health collector on the router, a
-// backend that dies and comes back, and a Client::Health() poller seeing
+// backend that dies and comes back, and a Client::Stats() poller seeing
 // the status walk ok -> (not ok) -> ok with the death and reconnect in the
 // shipped journal tail — exactly what dflow_top and the CI chaos stage
 // consume.
@@ -1038,26 +1061,27 @@ TEST(RouterTest, HealthPlaneTracksBackendDeathAndRecoveryOverTheWire) {
   ASSERT_TRUE(client.Connect("127.0.0.1", fleet->router->port(), &error))
       << error;
 
-  // Healthy fleet: the router answers HEALTH with itself plus both
+  // Healthy fleet: the router's health section covers itself plus both
   // backends, all ok, and the collector is actually sampling.
-  std::optional<HealthInfo> health;
+  std::optional<StatsInfo> health;
   for (int attempt = 0; attempt < 500; ++attempt) {
-    health = client.Health();
+    health = client.Stats(kStatsHealth);
     ASSERT_TRUE(health.has_value());
-    if (!health->self.series.empty() &&
-        health->self.status == static_cast<uint8_t>(obs::HealthStatus::kOk)) {
+    if (!health->self.health.series.empty() &&
+        health->self.health.status ==
+            static_cast<uint8_t>(obs::HealthStatus::kOk)) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_TRUE(health.has_value());
   EXPECT_EQ(health->self.is_router, 1);
-  EXPECT_EQ(health->self.status,
+  EXPECT_EQ(health->self.health.status,
             static_cast<uint8_t>(obs::HealthStatus::kOk));
   ASSERT_EQ(health->backends.size(), 2u);
-  for (const NodeHealth& backend : health->backends) {
+  for (const NodeStats& backend : health->backends) {
     EXPECT_EQ(backend.is_router, 0);
-    EXPECT_EQ(backend.status,
+    EXPECT_EQ(backend.health.status,
               static_cast<uint8_t>(obs::HealthStatus::kOk));
   }
 
@@ -1068,9 +1092,10 @@ TEST(RouterTest, HealthPlaneTracksBackendDeathAndRecoveryOverTheWire) {
   fleet->backends[1]->Stop();
   bool saw_not_ok = false;
   for (int attempt = 0; attempt < 500 && !saw_not_ok; ++attempt) {
-    health = client.Health();
+    health = client.Stats(kStatsHealth);
     ASSERT_TRUE(health.has_value());
-    if (health->self.status != static_cast<uint8_t>(obs::HealthStatus::kOk)) {
+    if (health->self.health.status !=
+        static_cast<uint8_t>(obs::HealthStatus::kOk)) {
       saw_not_ok = true;
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -1078,11 +1103,11 @@ TEST(RouterTest, HealthPlaneTracksBackendDeathAndRecoveryOverTheWire) {
   }
   ASSERT_TRUE(saw_not_ok);
   ASSERT_EQ(health->backends.size(), 2u);
-  EXPECT_EQ(health->backends[1].status,
+  EXPECT_EQ(health->backends[1].health.status,
             static_cast<uint8_t>(obs::HealthStatus::kCritical));
   // The journal tail shipped in the frame carries the death.
   bool death_in_tail = false;
-  for (const WireEvent& event : health->self.events) {
+  for (const WireEvent& event : health->self.health.events) {
     if (event.kind == static_cast<uint8_t>(obs::EventKind::kBackendDeath)) {
       death_in_tail = true;
     }
@@ -1107,9 +1132,9 @@ TEST(RouterTest, HealthPlaneTracksBackendDeathAndRecoveryOverTheWire) {
   ASSERT_EQ(revived->port(), backend1_port) << error;
   bool recovered = false;
   for (int attempt = 0; attempt < 1000 && !recovered; ++attempt) {
-    health = client.Health();
+    health = client.Stats(kStatsHealth);
     ASSERT_TRUE(health.has_value());
-    if (health->self.status ==
+    if (health->self.health.status ==
         static_cast<uint8_t>(obs::HealthStatus::kOk)) {
       recovered = true;
     } else {
@@ -1128,6 +1153,211 @@ TEST(RouterTest, HealthPlaneTracksBackendDeathAndRecoveryOverTheWire) {
   EXPECT_TRUE(client.Goodbye());
   fleet->router->Stop();
   revived->Stop();
+}
+
+// A fleet STATS poll never parks the router's loop thread. Two of three
+// backends sit behind proxies that swallow every answer; on a router with
+// ONE loop thread the poll still replies at its single deadline (not one
+// timeout per silent backend, one after another) with both silent members
+// synthesized, and an INFO on a second connection is answered while the
+// poll is pending.
+TEST(RouterTest, StatsPollFansOutWithoutBlockingTheLoop) {
+  const gen::GeneratedSchema pattern = MakePattern(61);
+  Fleet fleet;
+  fleet.pattern = &pattern;
+  for (int b = 0; b < 3; ++b) {
+    auto backend = std::make_unique<IngressServer>(
+        &pattern.schema, BackendOptions(1), IngressOptions{});
+    std::string error;
+    ASSERT_TRUE(backend->Start(&error)) << error;
+    fleet.backends.push_back(std::move(backend));
+  }
+  // Declared after the fleet, so they die first: the router then stops
+  // over dead backend connections instead of silent live ones.
+  TcpProxy silent_a("127.0.0.1", fleet.backends[0]->port());
+  TcpProxy silent_b("127.0.0.1", fleet.backends[1]->port());
+  std::string error;
+  ASSERT_TRUE(silent_a.Start(&error)) << error;
+  ASSERT_TRUE(silent_b.Start(&error)) << error;
+  RouterOptions router_options;
+  router_options.event_threads = 1;
+  router_options.backends = {
+      BackendAddress{"127.0.0.1", silent_a.port()},
+      BackendAddress{"127.0.0.1", silent_b.port()},
+      BackendAddress{"127.0.0.1", fleet.backends[2]->port()}};
+  fleet.router = std::make_unique<Router>(router_options);
+  ASSERT_TRUE(fleet.router->Start(&error)) << error;
+  silent_a.StallResponses();
+  silent_b.StallResponses();
+
+  Client poller;
+  Client prober;
+  ASSERT_TRUE(poller.Connect("127.0.0.1", fleet.router->port(), &error))
+      << error;
+  ASSERT_TRUE(prober.Connect("127.0.0.1", fleet.router->port(), &error))
+      << error;
+  using Clock = std::chrono::steady_clock;
+  std::optional<StatsInfo> stats;
+  Clock::duration poll_time{};
+  std::atomic<bool> poll_done{false};
+  std::thread poll_thread([&] {
+    const Clock::time_point start = Clock::now();
+    stats = poller.Stats(kStatsHealth | kStatsProfile);
+    poll_time = Clock::now() - start;
+    poll_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const Clock::time_point info_start = Clock::now();
+  const std::optional<ServerInfo> info = prober.Info();
+  const Clock::duration info_time = Clock::now() - info_start;
+  const bool answered_during_poll = !poll_done;
+  poll_thread.join();
+
+  ASSERT_TRUE(info.has_value());
+  EXPECT_TRUE(answered_during_poll);
+  EXPECT_LT(info_time, std::chrono::milliseconds(100));
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_LT(poll_time, std::chrono::milliseconds(1500));
+  EXPECT_EQ(stats->sections, kStatsHealth | kStatsProfile);
+  EXPECT_EQ(stats->self.is_router, 1);
+  ASSERT_EQ(stats->backends.size(), 3u);
+  for (size_t b = 0; b < 3; ++b) {
+    const NodeStats& node = stats->backends[b];
+    EXPECT_EQ(node.node_id,
+              "serve:" + std::to_string(fleet.backends[b]->port()));
+    EXPECT_EQ(node.is_router, 0);
+  }
+  // The silent pair: synthesized critical health, identity-only profile.
+  for (size_t b = 0; b < 2; ++b) {
+    EXPECT_EQ(stats->backends[b].health.status,
+              static_cast<uint8_t>(obs::HealthStatus::kCritical));
+    EXPECT_EQ(stats->backends[b].profile, NodeProfile{});
+  }
+  // The healthy backend's entry is its own answer.
+  const NodeStats& live = stats->backends[2];
+  EXPECT_EQ(live.health.status, static_cast<uint8_t>(obs::HealthStatus::kOk));
+  EXPECT_NE(live.profile.plan_dot.find("digraph"), std::string::npos);
+  EXPECT_TRUE(poller.Goodbye());
+  EXPECT_TRUE(prober.Goodbye());
+}
+
+// A STATS answer that misses its poll's deadline never fills a later
+// poll. The backend's answer to poll 1 is held past the deadline and
+// reaches the router just ahead of its answer to poll 2; poll 2 must report
+// the backend's fresh counters, not the stale ones.
+TEST(RouterTest, LateStatsAnswerNeverFillsTheNextPoll) {
+  const gen::GeneratedSchema pattern = MakePattern(63);
+  const std::vector<runtime::FlowRequest> requests = MakeWorkload(pattern, 3);
+  Fleet fleet;
+  fleet.pattern = &pattern;
+  fleet.backends.push_back(std::make_unique<IngressServer>(
+      &pattern.schema, BackendOptions(1), IngressOptions{}));
+  std::string error;
+  ASSERT_TRUE(fleet.backends[0]->Start(&error)) << error;
+  TcpProxy proxy("127.0.0.1", fleet.backends[0]->port());
+  ASSERT_TRUE(proxy.Start(&error)) << error;
+  RouterOptions router_options;
+  router_options.backends = {BackendAddress{"127.0.0.1", proxy.port()}};
+  fleet.router = std::make_unique<Router>(router_options);
+  ASSERT_TRUE(fleet.router->Start(&error)) << error;
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", fleet.router->port(), &error))
+      << error;
+  proxy.HoldResponses();
+  const std::optional<StatsInfo> first = client.Stats(kStatsHealth);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->backends.size(), 1u);
+  EXPECT_EQ(first->backends[0].health.status,
+            static_cast<uint8_t>(obs::HealthStatus::kCritical));
+
+  // Move the backend's counters past what the held answer reports.
+  Client direct;
+  ASSERT_TRUE(direct.Connect("127.0.0.1", fleet.backends[0]->port(), &error))
+      << error;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SubmitRequest submit;
+    submit.request_id = i + 1;
+    submit.seed = requests[i].seed;
+    submit.sources = requests[i].sources;
+    const std::optional<ServerMessage> reply = direct.Call(submit);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kSubmitResult);
+  }
+  EXPECT_TRUE(direct.Goodbye());
+  const auto served = static_cast<int64_t>(requests.size());
+  for (int spin = 0; spin < 10000 &&
+                     fleet.backends[0]->flow_server().total_processed() <
+                         served;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  proxy.ReleaseResponses();
+  const std::optional<StatsInfo> second = client.Stats(kStatsHealth);
+  ASSERT_TRUE(second.has_value());
+  ASSERT_EQ(second->backends.size(), 1u);
+  EXPECT_EQ(second->backends[0].health.status,
+            static_cast<uint8_t>(obs::HealthStatus::kOk));
+  EXPECT_EQ(second->backends[0].health.completed, served);
+  EXPECT_TRUE(client.Goodbye());
+}
+
+// One wire version at both front doors (ingress and router): the retired
+// scrape type bytes (the old METRICS, HEALTH and PROFILE pairs) are
+// answered UNSUPPORTED_TYPE like any unknown type on a connection that
+// stays usable, and a frame stamped kWireVersion - 1 gets the final
+// UNSUPPORTED_VERSION error before the connection closes.
+TEST(RouterTest, BothFrontDoorsSpeakExactlyOneWireVersion) {
+  const gen::GeneratedSchema pattern = MakePattern(67);
+  const std::unique_ptr<Fleet> fleet = MakeFleet(pattern, {1});
+  for (const uint16_t port :
+       {fleet->backends[0]->port(), fleet->router->port()}) {
+    SCOPED_TRACE("port " + std::to_string(port));
+    std::string error;
+    Socket raw = Socket::ConnectTcp("127.0.0.1", port, &error);
+    ASSERT_TRUE(raw.valid()) << error;
+    raw.SetRecvTimeout(5000);
+    FrameAssembler assembler;
+    const auto read_frame = [&]() -> std::optional<Frame> {
+      uint8_t chunk[4096];
+      while (true) {
+        if (std::optional<Frame> frame = assembler.Next()) return frame;
+        const ssize_t n = raw.Recv(chunk, sizeof(chunk));
+        if (n <= 0) return std::nullopt;
+        assembler.Feed(chunk, static_cast<size_t>(n));
+      }
+    };
+    const auto send_and_read_error =
+        [&](const std::vector<uint8_t>& frame) -> WireError {
+      EXPECT_TRUE(raw.SendAll(frame.data(), frame.size()));
+      const std::optional<Frame> reply = read_frame();
+      ErrorReply decoded;
+      if (!reply.has_value() ||
+          reply->type != static_cast<uint8_t>(MsgType::kError) ||
+          !DecodeError(reply->payload, &decoded)) {
+        return WireError::kNone;
+      }
+      return decoded.code;
+    };
+    for (const uint8_t retired : {8, 9, 10, 11, 13, 14}) {
+      std::vector<uint8_t> frame;
+      EncodeRawFrame(retired, {}, &frame);
+      EXPECT_EQ(send_and_read_error(frame), WireError::kUnsupportedType)
+          << "type " << int{retired};
+    }
+    std::vector<uint8_t> info;
+    EncodeInfoRequest(&info);
+    ASSERT_TRUE(raw.SendAll(info.data(), info.size()));
+    const std::optional<Frame> info_reply = read_frame();
+    ASSERT_TRUE(info_reply.has_value());
+    EXPECT_EQ(info_reply->type, static_cast<uint8_t>(MsgType::kInfo));
+
+    info[2] = kWireVersion - 1;
+    EXPECT_EQ(send_and_read_error(info), WireError::kUnsupportedVersion);
+    uint8_t byte;
+    EXPECT_EQ(raw.Recv(&byte, 1), 0);  // orderly close
+  }
 }
 
 // A mis-seeded replica — same schema, same strategy, but configured so it

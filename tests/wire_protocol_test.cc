@@ -206,10 +206,7 @@ WireHealthSample RandomHealthSample(Rng* rng) {
 
 NodeHealth RandomNodeHealth(Rng* rng) {
   NodeHealth node;
-  node.node_id = rng->Chance(0.5) ? "serve:" + std::to_string(rng->Next() % 10)
-                                  : "";
   node.status = static_cast<uint8_t>(rng->UniformInt(0, 2));
-  node.is_router = rng->Chance(0.5) ? 1 : 0;
   node.completed = rng->UniformInt(0, 1 << 30);
   node.failovers = rng->UniformInt(0, 1 << 10);
   node.divergence_checks = rng->UniformInt(0, 1 << 20);
@@ -224,16 +221,6 @@ NodeHealth RandomNodeHealth(Rng* rng) {
     node.events.push_back(RandomEvent(rng));
   }
   return node;
-}
-
-HealthInfo RandomHealth(Rng* rng) {
-  HealthInfo msg;
-  msg.self = RandomNodeHealth(rng);
-  const int num_backends = static_cast<int>(rng->UniformInt(0, 5));
-  for (int i = 0; i < num_backends; ++i) {
-    msg.backends.push_back(RandomNodeHealth(rng));
-  }
-  return msg;
 }
 
 std::string RandomName(Rng* rng) {
@@ -282,9 +269,6 @@ WireClassProfile RandomClassProfile(Rng* rng) {
 
 NodeProfile RandomNodeProfile(Rng* rng) {
   NodeProfile node;
-  node.node_id = rng->Chance(0.5) ? "serve:" + std::to_string(rng->Next() % 10)
-                                  : "";
-  node.is_router = rng->Chance(0.5) ? 1 : 0;
   node.sample_period = rng->UniformInt(0, 1 << 10);
   node.profiled_requests = rng->UniformInt(0, 1 << 30);
   node.total_requests = rng->UniformInt(0, 1 << 30);
@@ -307,14 +291,44 @@ NodeProfile RandomNodeProfile(Rng* rng) {
   return node;
 }
 
-ProfileInfo RandomProfile(Rng* rng) {
-  ProfileInfo msg;
-  msg.self = RandomNodeProfile(rng);
+// A node entry carrying exactly the sections `sections` names; the others
+// stay default, as on the decode side.
+NodeStats RandomNodeStats(Rng* rng, uint8_t sections) {
+  NodeStats node;
+  node.node_id = rng->Chance(0.5) ? "serve:" + std::to_string(rng->Next() % 10)
+                                  : "";
+  node.is_router = rng->Chance(0.5) ? 1 : 0;
+  if (sections & kStatsMetrics) {
+    node.metrics = "# TYPE dflow_x counter\ndflow_x " +
+                   std::to_string(rng->Next() % 1000) + "\n" + RandomName(rng);
+  }
+  if (sections & kStatsHealth) node.health = RandomNodeHealth(rng);
+  if (sections & kStatsProfile) node.profile = RandomNodeProfile(rng);
+  return node;
+}
+
+StatsInfo RandomStats(Rng* rng, uint8_t sections) {
+  StatsInfo msg;
+  msg.request_id = rng->Next();
+  msg.sections = sections;
+  msg.self = RandomNodeStats(rng, sections);
   const int num_backends = static_cast<int>(rng->UniformInt(0, 5));
   for (int i = 0; i < num_backends; ++i) {
-    msg.backends.push_back(RandomNodeProfile(rng));
+    msg.backends.push_back(RandomNodeStats(rng, sections));
   }
   return msg;
+}
+
+// The payload of the single frame `stream` holds.
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& stream) {
+  return std::vector<uint8_t>(stream.begin() + kFrameHeaderBytes,
+                              stream.end());
+}
+
+std::vector<uint8_t> StatsPayload(const StatsInfo& msg) {
+  std::vector<uint8_t> stream;
+  EncodeStats(msg, &stream);
+  return PayloadOf(stream);
 }
 
 // Feeds `stream` to an assembler in pseudo-random chunk sizes: framing
@@ -395,166 +409,154 @@ TEST(WireProtocolPropertyTest, RandomizedMessagesRoundTripThroughTheStream) {
   }
 }
 
-// The v6 health plane round-trips: HEALTH_REQUEST + HEALTH (rates,
-// status bytes, journal tails, the full per-backend fan-out) survive
-// encode -> chunked reassembly -> decode for randomized fleets.
-TEST(WireProtocolPropertyTest, RandomizedHealthRoundTripsThroughTheStream) {
-  Rng rng(20260807);
-  for (int iteration = 0; iteration < 200; ++iteration) {
-    const HealthInfo health = RandomHealth(&rng);
-    std::vector<uint8_t> stream;
-    EncodeHealthRequest(&stream);
-    EncodeHealth(health, &stream);
+// STATS_REQUEST + STATS round-trip for all 8 section masks: metrics
+// text, health (rates, status bytes, journal tails) and profile tables,
+// with the full per-backend fan-out, survive encode -> chunked reassembly
+// -> decode.
+TEST(WireProtocolPropertyTest, RandomizedStatsRoundTripForEverySectionMask) {
+  Rng rng(20261017);
+  for (uint8_t sections = 0; sections <= kStatsAllSections; ++sections) {
+    for (int iteration = 0; iteration < 60; ++iteration) {
+      const StatsRequest request{rng.Next(), sections};
+      const StatsInfo stats = RandomStats(&rng, sections);
+      std::vector<uint8_t> stream;
+      EncodeStatsRequest(request, &stream);
+      EncodeStats(stats, &stream);
 
-    WireError stream_error = WireError::kNone;
-    const std::vector<Frame> frames =
-        Reassemble(stream, rng.Next(), &stream_error);
-    ASSERT_EQ(stream_error, WireError::kNone);
-    ASSERT_EQ(frames.size(), 2u);
+      WireError stream_error = WireError::kNone;
+      const std::vector<Frame> frames =
+          Reassemble(stream, rng.Next(), &stream_error);
+      ASSERT_EQ(stream_error, WireError::kNone);
+      ASSERT_EQ(frames.size(), 2u);
 
-    EXPECT_EQ(frames[0].type, static_cast<uint8_t>(MsgType::kHealthRequest));
-    EXPECT_TRUE(frames[0].payload.empty());
+      EXPECT_EQ(frames[0].type, static_cast<uint8_t>(MsgType::kStatsRequest));
+      StatsRequest request_rt;
+      ASSERT_TRUE(DecodeStatsRequest(frames[0].payload, &request_rt));
+      EXPECT_EQ(request_rt, request);
 
-    EXPECT_EQ(frames[1].type, static_cast<uint8_t>(MsgType::kHealth));
-    HealthInfo health_rt;
-    ASSERT_TRUE(DecodeHealth(frames[1].payload, &health_rt));
-    EXPECT_EQ(health_rt, health);
+      EXPECT_EQ(frames[1].type, static_cast<uint8_t>(MsgType::kStats));
+      StatsInfo stats_rt;
+      ASSERT_TRUE(DecodeStats(frames[1].payload, &stats_rt));
+      EXPECT_EQ(stats_rt, stats) << "sections " << int{sections};
+    }
   }
 }
 
-// HEALTH decoding is an exact parser too: every truncation and any
-// trailing garbage is rejected, never crashed on.
-TEST(WireProtocolPropertyTest, EveryTruncationOfAHealthPayloadIsRejected) {
+// Both STATS decoders are exact parsers for every mask: every truncation
+// and any trailing byte is rejected, never crashed on.
+TEST(WireProtocolPropertyTest, EveryTruncationOfAStatsPayloadIsRejected) {
   Rng rng(777);
-  for (int iteration = 0; iteration < 10; ++iteration) {
+  for (uint8_t sections = 0; sections <= kStatsAllSections; ++sections) {
     std::vector<uint8_t> stream;
-    EncodeHealth(RandomHealth(&rng), &stream);
-    const std::vector<uint8_t> payload(stream.begin() + kFrameHeaderBytes,
-                                       stream.end());
-    HealthInfo out;
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
-      const std::vector<uint8_t> truncated(payload.begin(),
-                                           payload.begin() + cut);
-      EXPECT_FALSE(DecodeHealth(truncated, &out))
-          << "decoded a " << cut << "-byte prefix of " << payload.size();
+    EncodeStatsRequest(StatsRequest{rng.Next(), sections}, &stream);
+    const std::vector<uint8_t> request = PayloadOf(stream);
+    StatsRequest request_out;
+    for (size_t cut = 0; cut < request.size(); ++cut) {
+      const std::vector<uint8_t> truncated(request.begin(),
+                                           request.begin() + cut);
+      EXPECT_FALSE(DecodeStatsRequest(truncated, &request_out));
     }
-    std::vector<uint8_t> extended = payload;
-    extended.push_back(0x5a);
-    EXPECT_FALSE(DecodeHealth(extended, &out));
-  }
-}
+    std::vector<uint8_t> extended = request;
+    extended.push_back(0);
+    EXPECT_FALSE(DecodeStatsRequest(extended, &request_out));
 
-// Enum-carrying bytes are range-checked: a kind of 0 or 11, a severity
-// of 3, or a status of 3 must fail the whole decode (the taxonomy is
-// append-only, so out-of-range means corruption or a newer peer).
-TEST(WireProtocolTest, HealthRejectsOutOfRangeEnumBytes) {
-  HealthInfo msg;
-  msg.self.node_id = "n";
-  msg.self.events.push_back(WireEvent{5, 1, 123, "n", "d"});
-  msg.self.series.push_back(WireHealthSample{});
-  std::vector<uint8_t> stream;
-  EncodeHealth(msg, &stream);
-  const std::vector<uint8_t> payload(stream.begin() + kFrameHeaderBytes,
-                                     stream.end());
-  HealthInfo out;
-  ASSERT_TRUE(DecodeHealth(payload, &out));
-
-  // Flip every single byte to every out-of-range-looking value is too
-  // slow; instead corrupt each enum-carrying byte found by re-decoding.
-  // A byte flip that still decodes must decode to a DIFFERENT message or
-  // hit a range check — silently decoding corrupt enum bytes to the
-  // original message would mean the byte is dead on the wire.
-  for (size_t i = 0; i < payload.size(); ++i) {
-    std::vector<uint8_t> corrupt = payload;
-    corrupt[i] = 0xff;
-    HealthInfo reparsed;
-    if (DecodeHealth(corrupt, &reparsed)) {
-      EXPECT_NE(reparsed, out) << "byte " << i << " is dead on the wire";
+    for (int iteration = 0; iteration < 4; ++iteration) {
+      const std::vector<uint8_t> payload =
+          StatsPayload(RandomStats(&rng, sections));
+      StatsInfo out;
+      for (size_t cut = 0; cut < payload.size(); ++cut) {
+        const std::vector<uint8_t> truncated(payload.begin(),
+                                             payload.begin() + cut);
+        EXPECT_FALSE(DecodeStats(truncated, &out))
+            << "decoded a " << cut << "-byte prefix of " << payload.size()
+            << " (sections " << int{sections} << ")";
+      }
+      std::vector<uint8_t> trailing = payload;
+      trailing.push_back(0x5a);
+      EXPECT_FALSE(DecodeStats(trailing, &out));
     }
   }
 }
 
-// The v8 profiling plane round-trips: PROFILE_REQUEST + PROFILE (the
-// three profile tables, plan dot, the full per-backend fan-out) survive
-// encode -> chunked reassembly -> decode for randomized fleets.
-TEST(WireProtocolPropertyTest, RandomizedProfileRoundTripsThroughTheStream) {
-  Rng rng(20260808);
-  for (int iteration = 0; iteration < 200; ++iteration) {
-    const ProfileInfo profile = RandomProfile(&rng);
+// Range-checked bytes: unknown section bits (in either frame), an
+// is_router above 1, a health status or sample status above critical, an
+// event kind outside 1..11 and a severity above error each fail the whole
+// decode (the taxonomies are append-only, so out-of-range means
+// corruption or a newer peer).
+TEST(WireProtocolTest, StatsRejectsOutOfRangeBytesAndUnknownSectionBits) {
+  for (int bit = 3; bit < 8; ++bit) {
+    const auto unknown = static_cast<uint8_t>(1u << bit);
     std::vector<uint8_t> stream;
-    EncodeProfileRequest(&stream);
-    EncodeProfile(profile, &stream);
+    EncodeStatsRequest(StatsRequest{7, unknown}, &stream);
+    StatsRequest request;
+    EXPECT_FALSE(DecodeStatsRequest(PayloadOf(stream), &request)) << bit;
+    StatsInfo msg;
+    msg.sections = static_cast<uint8_t>(kStatsAllSections | unknown);
+    StatsInfo out;
+    EXPECT_FALSE(DecodeStats(StatsPayload(msg), &out)) << bit;
+  }
 
-    WireError stream_error = WireError::kNone;
-    const std::vector<Frame> frames =
-        Reassemble(stream, rng.Next(), &stream_error);
-    ASSERT_EQ(stream_error, WireError::kNone);
-    ASSERT_EQ(frames.size(), 2u);
+  StatsInfo valid;
+  valid.sections = kStatsHealth;
+  valid.self.node_id = "n";
+  valid.self.health.events.push_back(WireEvent{5, 1, 123, "n", "d"});
+  valid.self.health.series.push_back(WireHealthSample{});
+  StatsInfo out;
+  ASSERT_TRUE(DecodeStats(StatsPayload(valid), &out));
+  EXPECT_EQ(out, valid);
 
-    EXPECT_EQ(frames[0].type, static_cast<uint8_t>(MsgType::kProfileRequest));
-    EXPECT_TRUE(frames[0].payload.empty());
-
-    EXPECT_EQ(frames[1].type, static_cast<uint8_t>(MsgType::kProfile));
-    ProfileInfo profile_rt;
-    ASSERT_TRUE(DecodeProfile(frames[1].payload, &profile_rt));
-    EXPECT_EQ(profile_rt, profile);
+  const std::vector<void (*)(StatsInfo*)> corruptions = {
+      [](StatsInfo* m) { m->self.is_router = 2; },
+      [](StatsInfo* m) { m->self.health.status = 3; },
+      [](StatsInfo* m) { m->self.health.series[0].status = 3; },
+      [](StatsInfo* m) { m->self.health.events[0].kind = 0; },
+      [](StatsInfo* m) { m->self.health.events[0].kind = 12; },
+      [](StatsInfo* m) { m->self.health.events[0].severity = 3; },
+  };
+  for (size_t i = 0; i < corruptions.size(); ++i) {
+    StatsInfo corrupt = valid;
+    corruptions[i](&corrupt);
+    EXPECT_FALSE(DecodeStats(StatsPayload(corrupt), &out)) << "case " << i;
   }
 }
 
-// PROFILE decoding is an exact parser too: every truncation and any
-// trailing garbage is rejected, never crashed on.
-TEST(WireProtocolPropertyTest, EveryTruncationOfAProfilePayloadIsRejected) {
-  Rng rng(778);
-  for (int iteration = 0; iteration < 10; ++iteration) {
-    std::vector<uint8_t> stream;
-    EncodeProfile(RandomProfile(&rng), &stream);
-    const std::vector<uint8_t> payload(stream.begin() + kFrameHeaderBytes,
-                                       stream.end());
-    ProfileInfo out;
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
-      const std::vector<uint8_t> truncated(payload.begin(),
-                                           payload.begin() + cut);
-      EXPECT_FALSE(DecodeProfile(truncated, &out))
-          << "decoded a " << cut << "-byte prefix of " << payload.size();
-    }
-    std::vector<uint8_t> extended = payload;
-    extended.push_back(0x5a);
-    EXPECT_FALSE(DecodeProfile(extended, &out));
-  }
-}
-
-// PROFILE's range-checked bytes (is_router, the length prefixes) must
-// reject corruption: a byte flip either fails the decode or decodes to a
-// DIFFERENT message — silently decoding to the original would mean the
-// byte is dead on the wire.
-TEST(WireProtocolTest, ProfileRejectsCorruptBytesOrDecodesDifferently) {
-  ProfileInfo msg;
-  msg.self.node_id = "n";
-  msg.self.is_router = 1;
-  msg.self.sample_period = 64;
-  msg.self.profiled_requests = 3;
-  msg.self.total_requests = 200;
-  msg.self.attrs.push_back(WireAttrProfile{4, "attr4", 9, 40, 1, 5, 8});
-  msg.self.conds.push_back(WireCondProfile{4, "attr4", 7, 5, 2, 0, 1});
-  msg.self.classes.push_back(WireClassProfile{0xabcd, 3, 120, 5, 1, 2});
-  msg.self.plan_dot = "digraph G {}";
-  NodeProfile backend;
-  backend.node_id = "serve:1";
-  msg.backends.push_back(backend);
-  std::vector<uint8_t> stream;
-  EncodeProfile(msg, &stream);
-  const std::vector<uint8_t> payload(stream.begin() + kFrameHeaderBytes,
-                                     stream.end());
-  ProfileInfo out;
-  ASSERT_TRUE(DecodeProfile(payload, &out));
-  EXPECT_EQ(out, msg);
-
-  for (size_t i = 0; i < payload.size(); ++i) {
-    std::vector<uint8_t> corrupt = payload;
-    corrupt[i] = 0xff;
-    ProfileInfo reparsed;
-    if (DecodeProfile(corrupt, &reparsed)) {
-      EXPECT_NE(reparsed, out) << "byte " << i << " is dead on the wire";
+// No byte of a STATS payload is dead on the wire, for any mask: flipping
+// it either fails the decode or decodes to a DIFFERENT message.
+TEST(WireProtocolTest, StatsByteFlipsRejectOrDecodeDifferently) {
+  for (uint8_t sections = 0; sections <= kStatsAllSections; ++sections) {
+    StatsInfo msg;
+    msg.request_id = 0x1122334455667788ull;
+    msg.sections = sections;
+    msg.self.node_id = "router:1";
+    msg.self.is_router = 1;
+    msg.self.metrics = "dflow_x 1\n";
+    msg.self.health.status = 1;
+    msg.self.health.completed = 9;
+    msg.self.health.events.push_back(WireEvent{5, 1, 123, "n", "d"});
+    msg.self.health.series.push_back(WireHealthSample{});
+    msg.self.profile.sample_period = 64;
+    msg.self.profile.attrs.push_back(WireAttrProfile{4, "a4", 9, 40, 1, 5, 8});
+    msg.self.profile.conds.push_back(WireCondProfile{4, "a4", 7, 5, 2, 0, 1});
+    msg.self.profile.classes.push_back(
+        WireClassProfile{0xabcd, 3, 120, 5, 1, 2});
+    msg.self.profile.plan_dot = "digraph G {}";
+    NodeStats backend;
+    backend.node_id = "serve:1";
+    msg.backends.push_back(backend);
+    // Sections the mask leaves out do not travel: decode compares against
+    // the message as it survives the trip.
+    StatsInfo expected;
+    ASSERT_TRUE(DecodeStats(StatsPayload(msg), &expected));
+    const std::vector<uint8_t> payload = StatsPayload(expected);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      std::vector<uint8_t> corrupt = payload;
+      corrupt[i] = static_cast<uint8_t>(corrupt[i] ^ 0xff);
+      StatsInfo reparsed;
+      if (DecodeStats(corrupt, &reparsed)) {
+        EXPECT_NE(reparsed, expected)
+            << "byte " << i << " is dead on the wire (sections "
+            << int{sections} << ")";
+      }
     }
   }
 }
@@ -688,14 +690,17 @@ TEST(WireProtocolTest, GarbageMagicKillsTheStream) {
   EXPECT_EQ(assembler.error(), WireError::kMalformedFrame);
 }
 
+// One version, strictly: an older stamp is as foreign as a newer one.
 TEST(WireProtocolTest, WrongVersionIsRejected) {
-  std::vector<uint8_t> stream;
-  EncodeGoodbye(&stream);
-  stream[2] = kWireVersion + 1;
-  FrameAssembler assembler;
-  assembler.Feed(stream.data(), stream.size());
-  EXPECT_FALSE(assembler.Next().has_value());
-  EXPECT_EQ(assembler.error(), WireError::kUnsupportedVersion);
+  for (const int version : {kWireVersion - 1, kWireVersion + 1}) {
+    std::vector<uint8_t> stream;
+    EncodeGoodbye(&stream);
+    stream[2] = static_cast<uint8_t>(version);
+    FrameAssembler assembler;
+    assembler.Feed(stream.data(), stream.size());
+    EXPECT_FALSE(assembler.Next().has_value());
+    EXPECT_EQ(assembler.error(), WireError::kUnsupportedVersion) << version;
+  }
 }
 
 TEST(WireProtocolTest, OversizedFrameIsRejectedBeforeBuffering) {
