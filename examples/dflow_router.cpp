@@ -22,7 +22,6 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -33,35 +32,6 @@
 #include "net/server_config.h"
 
 using namespace dflow;
-
-namespace {
-
-// "4521,4522" or "host:4521,host:4522" (mixed forms allowed); host
-// defaults to 127.0.0.1.
-bool ParseBackends(const std::string& text,
-                   std::vector<net::BackendAddress>* out) {
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(start, comma - start);
-    if (item.empty()) return false;
-    net::BackendAddress address;
-    const size_t colon = item.rfind(':');
-    const std::string port_text =
-        colon == std::string::npos ? item : item.substr(colon + 1);
-    if (colon != std::string::npos) address.host = item.substr(0, colon);
-    const int port = std::atoi(port_text.c_str());
-    if (port <= 0 || port > 65535) return false;
-    address.port = static_cast<uint16_t>(port);
-    out->push_back(std::move(address));
-    if (comma == text.size()) break;
-    start = comma + 1;
-  }
-  return !out->empty();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   net::RouterOptions options;
@@ -82,7 +52,7 @@ int main(int argc, char** argv) {
               "'host:4521,host:4522' (host defaults to 127.0.0.1)",
               [&options](const char* value, std::string* error) {
                 options.backends.clear();
-                if (!ParseBackends(value, &options.backends)) {
+                if (!net::ParseBackendList(value, &options.backends)) {
                   *error = "cannot parse backend list";
                   return false;
                 }

@@ -1,7 +1,5 @@
 #include "net/ingress_server.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <utility>
@@ -70,8 +68,7 @@ IngressServer::IngressServer(const core::Schema* schema,
                                            ? "serve"
                                            : ingress_options.node_id),
       health_(ingress_options.health, MakeHealthSources(), &journal_),
-      loop_(EventLoop::Options{ingress_options.event_threads,
-                               ingress_options.send_timeout_ms}) {
+      front_(options_, "ingress", this, &journal_, &metrics_) {
   // Installed before the listener exists, so it observes every request the
   // ingress will ever admit.
   server_.SetResultCallback(
@@ -85,21 +82,10 @@ IngressServer::IngressServer(const core::Schema* schema,
   const auto counter = [this](const char* name, std::atomic<int64_t>* src) {
     metrics_.AddCounter(name, {}, [src] { return src->load(); });
   };
-  counter("dflow_connections_opened_total", &connections_opened_);
-  counter("dflow_connections_closed_total", &connections_closed_);
   counter("dflow_requests_accepted_total", &requests_accepted_);
   counter("dflow_requests_rejected_busy_total", &requests_rejected_busy_);
   counter("dflow_requests_rejected_shutdown_total",
           &requests_rejected_shutdown_);
-  counter("dflow_decode_errors_total", &decode_errors_);
-  counter("dflow_protocol_errors_total", &protocol_errors_);
-  // Byte counters fold across live conns + the closed-session accumulator
-  // (scrape-time work, so the per-read hot path stays a single atomic add
-  // on the conn).
-  metrics_.AddCounter("dflow_bytes_in_total", {},
-                      [this] { return ingress_stats().bytes_in; });
-  metrics_.AddCounter("dflow_bytes_out_total", {},
-                      [this] { return ingress_stats().bytes_out; });
   metrics_.AddCounter("dflow_completed_total", {},
                       [this] { return server_.total_processed(); });
   metrics_.AddCounter("dflow_cache_hits_total", {},
@@ -177,16 +163,7 @@ obs::HealthSources IngressServer::MakeHealthSources() {
 IngressServer::~IngressServer() { Stop(); }
 
 bool IngressServer::Start(std::string* error) {
-  if (started_.exchange(true)) {
-    if (error != nullptr) *error = "Start() called twice";
-    return false;
-  }
-  if (!listener_.Listen(options_.port, error)) return false;
-  if (!loop_.Start(error)) {
-    listener_.Close();
-    return false;
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  if (!front_.Start(error)) return false;
   health_.Start();
   return true;
 }
@@ -195,23 +172,17 @@ void IngressServer::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mu_);
   if (stopped_) return;
   stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
-  // 1. Stop accepting; retire the acceptor.
-  listener_.Shutdown();
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.Close();
-  // 2. Gracefully close every conn: already-buffered frames finish
-  // dispatching (which may still admit requests — the shards are still
-  // running, so stalled admissions unwedge), every in-flight answer lands
-  // in its outbox, and the backlogs flush before the sockets close.
-  loop_.Stop();
-  // 3. Only now quiesce the execution layer: every accepted request was
+  // 1. Stop accepting, then gracefully close every conn: buffered frames
+  // may still admit requests (the shards are still running, so stalled
+  // admissions unwedge), and every in-flight answer is flushed.
+  front_.Stop();
+  // 2. Only now quiesce the execution layer: every accepted request was
   // answered, so the drain has nothing the wire still owes a client.
   server_.Drain();
   // Profile epilogue: the drained server's merged profile is final, so this
   // one snapshot covers everything the process ever served.
   WriteProfileSnapshot();
-  // 4. Health plane teardown: journal the drain, stop the collector, and
+  // 3. Health plane teardown: journal the drain, stop the collector, and
   // flush both JSONL sinks so a SIGTERM-driven exit loses no tail.
   journal_.Emit(obs::EventKind::kDrain, obs::Severity::kInfo,
                 "completed=" + std::to_string(server_.total_processed()));
@@ -222,34 +193,10 @@ void IngressServer::Stop() {
 }
 
 runtime::IngressStats IngressServer::ingress_stats() const {
-  runtime::IngressStats stats;
-  stats.connections_opened = connections_opened_.load();
-  stats.connections_closed = connections_closed_.load();
+  runtime::IngressStats stats = front_.Stats();
   stats.requests_accepted = requests_accepted_.load();
   stats.requests_rejected_busy = requests_rejected_busy_.load();
   stats.requests_rejected_shutdown = requests_rejected_shutdown_.load();
-  stats.decode_errors = decode_errors_.load();
-  stats.protocol_errors = protocol_errors_.load();
-  stats.info_requests = info_requests_.load();
-  // Byte and outbox stats: the closed-session accumulators plus a
-  // live-conn scan, all under sessions_mu_ so a conn retiring concurrently
-  // is counted exactly once (on_close folds and unindexes under the same
-  // lock). bytes_out IS the outbox flush count — the outbox is the only
-  // writer a conn has.
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  stats.bytes_in = closed_bytes_in_;
-  stats.outbox_inflight_hwm = closed_outbox_.inflight_hwm;
-  stats.outbox_bytes_written = closed_outbox_.bytes_written;
-  stats.outbox_write_stalls = closed_outbox_.write_stalls;
-  for (const auto& [id, conn] : conns_) {
-    const SessionOutbox::Stats live = conn->outbox().GetStats();
-    stats.bytes_in += conn->bytes_in();
-    stats.outbox_inflight_hwm =
-        std::max(stats.outbox_inflight_hwm, live.inflight_hwm);
-    stats.outbox_bytes_written += live.bytes_written;
-    stats.outbox_write_stalls += live.write_stalls;
-  }
-  stats.bytes_out = stats.outbox_bytes_written;
   return stats;
 }
 
@@ -259,168 +206,16 @@ runtime::FlowServerReport IngressServer::Report() const {
   return report;
 }
 
-void IngressServer::AcceptLoop() {
-  int backoff_ms = 10;
-  while (true) {
-    ListenSocket::AcceptStatus status = ListenSocket::AcceptStatus::kShutdown;
-    Socket socket = listener_.Accept(&status);
-    if (status == ListenSocket::AcceptStatus::kTransient) {
-      // Out of fds (or kernel buffers): survive it instead of exiting.
-      // Pausing the accept path sheds politely — unaccepted peers wait in
-      // the listen backlog — and the journal entry names the ceiling so an
-      // operator raises ulimit instead of chasing drops.
-      journal_.Emit(obs::EventKind::kWatermark, obs::Severity::kWarn,
-                    "accept: fd/buffer exhaustion; backing off " +
-                        std::to_string(backoff_ms) + "ms");
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 100);
-      continue;
-    }
-    backoff_ms = 10;
-    if (status != ListenSocket::AcceptStatus::kOk) break;
-    if (stopping_.load(std::memory_order_acquire)) break;
-    auto session = std::make_shared<Session>();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      session->id = next_session_id_++;
-    }
-    EventConn::Handlers handlers;
-    handlers.on_frame = [this, session](EventConn* conn, Frame& frame) {
-      return HandleFrame(conn, session, frame);
-    };
-    handlers.on_protocol_error = [this, session](EventConn* conn,
-                                                 WireError error) {
-      // Framing is lost: answer with the reason, then hang up (the loop
-      // begins the graceful close) — there is no way to find the next
-      // frame boundary in the stream.
-      session->decode_errors.fetch_add(1, std::memory_order_relaxed);
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, 0, error, "unrecoverable frame stream");
-    };
-    handlers.on_close = [this, session](EventConn* conn) {
-      OnConnClosed(conn, session);
-    };
-    const std::shared_ptr<EventConn> conn =
-        loop_.Add(std::move(socket), std::move(handlers), session,
-                  options_.max_payload_bytes);
-    if (conn == nullptr) continue;  // loop stopped under us; socket dropped
-    connections_opened_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.verbose) {
-      std::fprintf(stderr, "[ingress] connection %llu open\n",
-                   static_cast<unsigned long long>(session->id));
-    }
-    {
-      // Index for the stats live-scan — unless the conn already retired
-      // (a connect-and-vanish client can close before this line runs).
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      if (!session->retired) conns_.emplace(session->id, conn);
-    }
-  }
-}
-
-void IngressServer::OnConnClosed(EventConn* conn,
-                                 const std::shared_ptr<Session>& session) {
-  const SessionOutbox::Stats outbox = conn->outbox().GetStats();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    session->retired = true;
-    conns_.erase(session->id);
-    closed_bytes_in_ += conn->bytes_in();
-    closed_outbox_.inflight_hwm =
-        std::max(closed_outbox_.inflight_hwm, outbox.inflight_hwm);
-    closed_outbox_.bytes_written += outbox.bytes_written;
-    closed_outbox_.write_stalls += outbox.write_stalls;
-  }
-  connections_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.verbose) {
-    std::fprintf(
-        stderr,
-        "[ingress] connection %llu closed: accepted=%lld busy=%lld "
-        "shutdown=%lld decode_errors=%lld bytes_in=%lld bytes_out=%lld\n",
-        static_cast<unsigned long long>(session->id),
-        static_cast<long long>(session->accepted.load()),
-        static_cast<long long>(session->rejected_busy.load()),
-        static_cast<long long>(session->rejected_shutdown.load()),
-        static_cast<long long>(session->decode_errors.load()),
-        static_cast<long long>(conn->bytes_in()),
-        static_cast<long long>(outbox.bytes_written));
-  }
-}
-
-EventConn::FrameAction IngressServer::HandleFrame(
-    EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame) {
-  switch (static_cast<MsgType>(frame.type)) {
-    case MsgType::kSubmit: {
-      SubmitRequest request;
-      if (!DecodeSubmit(frame.payload, &request)) {
-        // The payload was bad but framing held: report and keep serving.
-        session->decode_errors.fetch_add(1, std::memory_order_relaxed);
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, PeekRequestId(frame.payload),
-                  WireError::kMalformedFrame, "undecodable submit payload");
-        return EventConn::FrameAction::kContinue;
-      }
-      return HandleSubmit(conn, session, std::move(request));
-    }
-    case MsgType::kBatchSubmit: {
-      BatchSubmitRequest request;
-      if (!DecodeBatchSubmit(frame.payload, &request)) {
-        session->decode_errors.fetch_add(1, std::memory_order_relaxed);
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        // How many completions this frame owes is unknowable (the item
-        // count is part of what failed to decode), so per-item errors are
-        // impossible and the connection's completion accounting is broken.
-        // Answer the typed error, then close: a client blocked draining
-        // the batch's ticket range unblocks on EOF instead of hanging.
-        SendError(conn, PeekRequestId(frame.payload),
-                  WireError::kMalformedFrame, "undecodable batch payload");
-        conn->BeginGracefulClose();
-        return EventConn::FrameAction::kClose;
-      }
-      return HandleBatchSubmit(conn, session, std::move(request));
-    }
-    case MsgType::kInfoRequest: {
-      info_requests_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<uint8_t> out;
-      EncodeInfo(BuildInfo(), &out);
-      conn->outbox().Push(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kStatsRequest: {
-      StatsRequest request;
-      if (!DecodeStatsRequest(frame.payload, &request)) {
-        session->decode_errors.fetch_add(1, std::memory_order_relaxed);
-        decode_errors_.fetch_add(1, std::memory_order_relaxed);
-        SendError(conn, PeekRequestId(frame.payload),
-                  WireError::kMalformedFrame, "undecodable stats request");
-        return EventConn::FrameAction::kContinue;
-      }
-      StatsInfo stats;
-      stats.request_id = request.request_id;
-      stats.sections = request.sections;
-      stats.self = BuildStats(request.sections);
-      std::vector<uint8_t> out;
-      EncodeStats(stats, &out);
-      conn->outbox().Push(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kGoodbye: {
-      // Flush-then-ack, without parking the loop thread: the ack rides as
-      // the graceful close's final frame, which the loop pushes only after
-      // every accepted submit on this connection has its answer in the
-      // outbox — a client that waits for the ack has seen all its results.
-      std::vector<uint8_t> ack;
-      EncodeGoodbyeAck(&ack);
-      conn->BeginGracefulClose(std::move(ack));
-      return EventConn::FrameAction::kClose;
-    }
-    default:
-      session->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, 0, WireError::kUnsupportedType,
-                "unknown frame type " + std::to_string(frame.type));
-      return EventConn::FrameAction::kContinue;
-  }
+EventConn::FrameAction IngressServer::HandleStats(
+    EventConn* conn, const StatsRequest& request) {
+  StatsInfo stats;
+  stats.request_id = request.request_id;
+  stats.sections = request.sections;
+  stats.self = BuildStats(request.sections);
+  std::vector<uint8_t> out;
+  EncodeStats(stats, &out);
+  conn->outbox().Push(std::move(out));
+  return EventConn::FrameAction::kContinue;
 }
 
 bool IngressServer::StrategyAllowed(const std::string& strategy) const {
@@ -435,12 +230,10 @@ bool IngressServer::StrategyAllowed(const std::string& strategy) const {
          parsed->ToString() == server_.strategy().ToString();
 }
 
-bool IngressServer::CheckStrategy(EventConn* conn, Session* session,
-                                  uint64_t request_id,
+bool IngressServer::CheckStrategy(EventConn* conn, uint64_t request_id,
                                   const std::string& strategy) {
   if (StrategyAllowed(strategy)) return true;
-  session->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  front_.CountProtocolError();
   SendError(conn, request_id, WireError::kBadStrategy,
             "server runs " + server_.strategy().ToString());
   return false;
@@ -510,14 +303,11 @@ void IngressServer::Resolve(const Admission& admission,
                      obs::MonotonicNs() - admission.start_ns);
   }
   if (result == runtime::TryPushResult::kFull) {
-    admission.session->rejected_busy.fetch_add(1, std::memory_order_relaxed);
     requests_rejected_busy_.fetch_add(1, std::memory_order_relaxed);
     // Parity with the counted TrySubmitEx path this refusal used to take.
     SendError(admission.conn.get(), admission.request_id,
               WireError::kRejectedBusy, "shard queue full");
   } else {
-    admission.session->rejected_shutdown.fetch_add(1,
-                                                   std::memory_order_relaxed);
     requests_rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
     SendError(admission.conn.get(), admission.request_id,
               WireError::kShuttingDown, "server draining");
@@ -525,10 +315,16 @@ void IngressServer::Resolve(const Admission& admission,
 }
 
 EventConn::FrameAction IngressServer::HandleSubmit(
-    EventConn* conn, const std::shared_ptr<Session>& session,
-    SubmitRequest request) {
-  if (!CheckStrategy(conn, session.get(), request.request_id,
-                     request.strategy)) {
+    EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame) {
+  SubmitRequest request;
+  if (!DecodeSubmit(frame.payload, &request)) {
+    // The payload was bad but framing held: report and keep serving.
+    front_.CountDecodeError();
+    SendError(conn, PeekRequestId(frame.payload), WireError::kMalformedFrame,
+              "undecodable submit payload");
+    return EventConn::FrameAction::kContinue;
+  }
+  if (!CheckStrategy(conn, request.request_id, request.strategy)) {
     return EventConn::FrameAction::kContinue;
   }
   Admission admission = PrepareAdmission(
@@ -570,8 +366,7 @@ EventConn::FrameAction IngressServer::HandleBatchSubmit(
     // errors), so the client's TicketRange settles instead of a drain
     // waiting forever on completions that never come.
     for (size_t i = 0; i < request.items.size(); ++i) {
-      session->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      front_.CountProtocolError();
       SendError(conn, request.request_id_base + i, WireError::kBadStrategy,
                 "server runs " + server_.strategy().ToString());
     }
@@ -683,7 +478,7 @@ void IngressServer::OnResult(int shard_index,
 }
 
 std::string IngressServer::NodeId() const {
-  return options_.node_id.empty() ? "serve:" + std::to_string(listener_.port())
+  return options_.node_id.empty() ? "serve:" + std::to_string(front_.port())
                                   : options_.node_id;
 }
 

@@ -7,13 +7,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/event_loop.h"
-#include "net/session_outbox.h"
-#include "net/socket.h"
+#include "net/front_door.h"
 #include "net/wire_protocol.h"
 #include "obs/event_log.h"
 #include "obs/jsonl_sink.h"
@@ -24,25 +22,7 @@
 
 namespace dflow::net {
 
-struct IngressOptions {
-  // TCP port to listen on; 0 asks the kernel for an ephemeral port (read
-  // the result from port() after Start). The listener binds 127.0.0.1 only
-  // — exposing the ingress beyond the host is a deliberate non-goal until
-  // there is authentication in front of it.
-  uint16_t port = 0;
-  // Per-frame payload ceiling; larger frames kill the connection with
-  // FRAME_TOO_LARGE (framing cannot be trusted past an oversized length).
-  uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  // Upper bound on the shutdown flush: how long Stop() lets graceful
-  // closes drain their outboxes before force-closing stragglers. A client
-  // that stops reading cannot wedge Stop() forever.
-  int send_timeout_ms = 10000;
-  // Event-loop threads owning the sockets; 0 picks
-  // min(4, hardware_concurrency). Socket work is tiny next to shard
-  // execution, so a handful of loop threads carries 10k+ connections.
-  int event_threads = 0;
-  // Per-connection open/close log lines on stderr.
-  bool verbose = false;
+struct IngressOptions : FrontDoorOptions {
   // Identity this server reports in its Info responses (ServerInfo::
   // node_id); a router records it per backend at handshake time. Empty
   // means "serve:<bound port>".
@@ -76,10 +56,10 @@ struct IngressOptions {
   uint64_t profile_jsonl_max_bytes = 0;
 };
 
-// The network front door of the flow-serving runtime: a TCP listener whose
-// acceptor hands each connection to a shared net::EventLoop (a fixed pool
-// of epoll threads owning every socket), speaking the length-prefixed wire
-// protocol and mapping submit frames onto FlowServer admission. A
+// The network front door of the flow-serving runtime: a net::FrontDoor (a
+// TCP listener whose acceptor hands each connection to a fixed pool of
+// epoll threads) speaking the length-prefixed wire protocol, with submit
+// frames mapped onto FlowServer admission. A
 // connection costs one fd and a few hundred bytes of state — not two
 // threads — which is what lets one server hold 10k+ concurrent clients.
 //
@@ -107,12 +87,12 @@ struct IngressOptions {
 // request, so the bounded shard queues already cap what any connection can
 // have in flight.
 //
-// Shutdown (Stop, also run by the destructor): stop accepting, then
-// EventLoop::Stop gracefully closes every conn — buffered frames finish
+// Shutdown (Stop, also run by the destructor): FrontDoor::Stop stops
+// accepting and gracefully closes every conn — buffered frames finish
 // dispatching, in-flight requests complete into the outbox, the backlog
 // flushes, then the socket closes — and only then FlowServer::Drain(). No
 // accepted request is dropped without an answer.
-class IngressServer {
+class IngressServer : private FrontDoor::Handler {
  public:
   IngressServer(const core::Schema* schema,
                 runtime::FlowServerOptions server_options,
@@ -130,7 +110,7 @@ class IngressServer {
   void Stop();
 
   // The bound port (meaningful after a successful Start).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return front_.port(); }
 
   // The backing FlowServer's report with the ingress counters filled in.
   runtime::FlowServerReport Report() const;
@@ -146,23 +126,7 @@ class IngressServer {
   const runtime::FlowServer& flow_server() const { return server_; }
 
  private:
-  // Per-connection session state (EventConn::user). The wire counters the
-  // aggregate IngressStats sums live here as atomics because refusals and
-  // accepts are counted on loop threads while tests read them from
-  // outside; byte counts come from the conn itself (bytes_in) and its
-  // outbox (bytes_written).
-  struct Session {
-    uint64_t id = 0;
-    std::atomic<int64_t> accepted{0};
-    std::atomic<int64_t> rejected_busy{0};
-    std::atomic<int64_t> rejected_shutdown{0};
-    std::atomic<int64_t> decode_errors{0};
-    std::atomic<int64_t> protocol_errors{0};
-    // True once on_close folded this session's stats (or, for a conn that
-    // retired before the acceptor could index it, suppresses the index
-    // insert). Guarded by sessions_mu_.
-    bool retired = false;
-  };
+  using Session = FrontDoor::Session;
 
   struct Pending {
     std::shared_ptr<EventConn> conn;
@@ -199,23 +163,23 @@ class IngressServer {
     std::optional<Admission> parked;  // registered, not yet admitted
   };
 
-  void AcceptLoop();
-  // One decoded frame, on the conn's owning loop thread.
-  EventConn::FrameAction HandleFrame(EventConn* conn,
-                                     const std::shared_ptr<Session>& session,
-                                     Frame& frame);
+  // FrontDoor::Handler: a SUBMIT is decoded and admitted, a STATS_REQUEST
+  // answered inline.
   EventConn::FrameAction HandleSubmit(EventConn* conn,
                                       const std::shared_ptr<Session>& session,
-                                      SubmitRequest request);
+                                      Frame& frame) override;
   EventConn::FrameAction HandleBatchSubmit(
       EventConn* conn, const std::shared_ptr<Session>& session,
-      BatchSubmitRequest request);
+      BatchSubmitRequest request) override;
+  EventConn::FrameAction HandleStats(EventConn* conn,
+                                     const StatsRequest& request) override;
+  ServerInfo BuildInfo() const override;
   // Whether a strategy override (empty = none) names what this server
   // runs.
   bool StrategyAllowed(const std::string& strategy) const;
   // Validates a strategy override (empty = none). On mismatch, counts the
   // protocol error and answers BAD_STRATEGY; returns false.
-  bool CheckStrategy(EventConn* conn, Session* session, uint64_t request_id,
+  bool CheckStrategy(EventConn* conn, uint64_t request_id,
                      const std::string& strategy);
   // Registers one request (trace, ticket, pending entry, in-flight Begin)
   // so its answer — result or refusal — is owed from this moment on.
@@ -237,12 +201,8 @@ class IngressServer {
   void OnResult(int shard_index, const runtime::FlowRequest& request,
                 const core::InstanceResult& result,
                 const core::Strategy& executed);
-  // EventConn on_close hook: folds the conn's byte/outbox stats into the
-  // closed-session accumulators exactly once.
-  void OnConnClosed(EventConn* conn, const std::shared_ptr<Session>& session);
   // Identity reported in Info and STATS: options_.node_id or "serve:<port>".
   std::string NodeId() const;
-  ServerInfo BuildInfo() const;
   // This node's STATS entry with the requested sections: the metrics
   // exposition, the health section, and the merged plan profile with its
   // annotated plan view (EXPLAIN-style dot with measured work/selectivity).
@@ -269,39 +229,21 @@ class IngressServer {
   // side-by-side in one scrape.
   obs::Histogram* wall_latency_us_ = nullptr;
   obs::Histogram* latency_units_ = nullptr;
-  ListenSocket listener_;
   // Declared after server_ so it stops (destructor) before the shards do:
   // graceful closes may be waiting on shard completions.
-  EventLoop loop_;
-  std::thread acceptor_;
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
+  FrontDoor front_;
   std::mutex stop_mu_;  // serializes Stop()
   bool stopped_ = false;
-
-  // Live conns indexed by session id, for the stats live-scan; closed
-  // conns fold into the accumulators below under the same lock (exactly
-  // once, see Session::retired).
-  mutable std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<EventConn>> conns_;
-  uint64_t next_session_id_ = 1;
-  SessionOutbox::Stats closed_outbox_;
-  int64_t closed_bytes_in_ = 0;
 
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, Pending> pending_;
   std::atomic<uint64_t> next_ticket_{1};
 
-  // Aggregate ingress counters (see runtime::IngressStats). Byte and
-  // outbox counters are folded from the conns instead (ingress_stats()).
-  std::atomic<int64_t> connections_opened_{0};
-  std::atomic<int64_t> connections_closed_{0};
+  // Admission counters (see runtime::IngressStats); the connection, byte
+  // and error counters live in front_.
   std::atomic<int64_t> requests_accepted_{0};
   std::atomic<int64_t> requests_rejected_busy_{0};
   std::atomic<int64_t> requests_rejected_shutdown_{0};
-  std::atomic<int64_t> decode_errors_{0};
-  std::atomic<int64_t> protocol_errors_{0};
-  std::atomic<int64_t> info_requests_{0};
 };
 
 }  // namespace dflow::net

@@ -57,7 +57,43 @@ std::string AddressText(const BackendAddress& address) {
   return address.host + ":" + std::to_string(address.port);
 }
 
+// A port token: the whole of it base-10 digits, in [1, 65535].
+bool ParsePort(const std::string& text, uint16_t* port) {
+  if (text.empty() || text.size() > 5) return false;
+  int value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+  }
+  if (value < 1 || value > 65535) return false;
+  *port = static_cast<uint16_t>(value);
+  return true;
+}
+
 }  // namespace
+
+bool ParseBackendList(const std::string& text,
+                      std::vector<BackendAddress>* out) {
+  size_t start = 0;
+  while (true) {
+    size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string item = text.substr(start, comma - start);
+    BackendAddress address;
+    const size_t colon = item.rfind(':');
+    if (colon != std::string::npos) {
+      if (colon == 0) return false;  // ":4521" names no host
+      address.host = item.substr(0, colon);
+    }
+    if (!ParsePort(colon == std::string::npos ? item : item.substr(colon + 1),
+                   &address.port)) {
+      return false;
+    }
+    out->push_back(std::move(address));
+    if (comma == text.size()) return true;
+    start = comma + 1;
+  }
+}
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
@@ -66,30 +102,18 @@ Router::Router(RouterOptions options)
       journal_(options_.events,
                options_.node_id.empty() ? "router" : options_.node_id),
       health_(options_.health, MakeHealthSources(), &journal_),
-      loop_(EventLoop::Options{options_.event_threads,
-                               options_.send_timeout_ms}) {
+      front_(options_, "router", this, &journal_, &metrics_) {
   // Counters and gauges are callbacks over counters the router maintains
   // anyway, so registering them costs the relay path nothing. Per-backend
   // families are registered in Start(), once the fleet is known.
   const auto counter = [this](const char* name, std::atomic<int64_t>* src) {
     metrics_.AddCounter(name, {}, [src] { return src->load(); });
   };
-  counter("dflow_connections_opened_total", &connections_opened_);
-  counter("dflow_connections_closed_total", &connections_closed_);
   counter("dflow_requests_routed_total", &requests_routed_);
   counter("dflow_relayed_results_total", &relayed_results_);
   counter("dflow_relayed_busy_total", &relayed_busy_);
   counter("dflow_relayed_shutdown_total", &relayed_shutdown_);
   counter("dflow_unavailable_total", &unavailable_total_);
-  counter("dflow_decode_errors_total", &decode_errors_);
-  counter("dflow_protocol_errors_total", &protocol_errors_);
-  // Byte counters fold across live conns + the closed-session accumulator
-  // (scrape-time work, so the per-read hot path stays a single atomic add
-  // on the conn).
-  metrics_.AddCounter("dflow_bytes_in_total", {},
-                      [this] { return front_stats().bytes_in; });
-  metrics_.AddCounter("dflow_bytes_out_total", {},
-                      [this] { return front_stats().bytes_out; });
   counter("dflow_replica_failover_total", &failovers_total_);
   counter("dflow_replica_divergence_checks_total", &divergence_checks_);
   counter("dflow_replica_divergence_total", &divergence_mismatches_);
@@ -266,15 +290,10 @@ bool Router::Start(std::string* error) {
       return false;
     }
   }
-  if (!listener_.Listen(options_.port, error)) {
+  if (!front_.Start(error)) {
     Stop();
     return false;
   }
-  if (!loop_.Start(error)) {
-    Stop();
-    return false;
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
   health_.Start();
   return true;
 }
@@ -284,17 +303,13 @@ void Router::Stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_seq_cst);
-  // 1. Stop accepting; retire the acceptor.
-  listener_.Shutdown();
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.Close();
-  // 2. Gracefully close every front-door conn. The loop waits for each
-  // conn's in-flight tickets to be answered (the backend pool is still
-  // live, so forwarded submits complete) and flushes the responses before
-  // the sockets close — this is the "every admitted request answered"
-  // barrier.
-  loop_.Stop();
-  // 3. Only now retire the pool: nothing is owed to any client, so the
+  // 1. Stop accepting, then gracefully close every front-door conn. The
+  // loop waits for each conn's in-flight tickets to be answered (the
+  // backend pool is still live, so forwarded submits complete) and flushes
+  // the responses before the sockets close — this is the "every admitted
+  // request answered" barrier.
+  front_.Stop();
+  // 2. Only now retire the pool: nothing is owed to any client, so the
   // backends get a best-effort Goodbye and the conn threads exit instead
   // of reconnecting (stopping_ is visible under each send_mu).
   backoff_cv_.notify_all();
@@ -312,7 +327,7 @@ void Router::Stop() {
       if (conn->thread.joinable()) conn->thread.join();
     }
   }
-  // 4. Retire the health plane last: the drain event closes the journal's
+  // 3. Retire the health plane last: the drain event closes the journal's
   // story for this process, then both JSONL sinks flush.
   health_.Stop();
   journal_.Emit(obs::EventKind::kDrain, obs::Severity::kInfo,
@@ -322,34 +337,10 @@ void Router::Stop() {
 }
 
 runtime::IngressStats Router::front_stats() const {
-  runtime::IngressStats stats;
-  stats.connections_opened = connections_opened_.load();
-  stats.connections_closed = connections_closed_.load();
+  runtime::IngressStats stats = front_.Stats();
   stats.requests_accepted = requests_routed_.load();
   stats.requests_rejected_busy = relayed_busy_.load();
   stats.requests_rejected_shutdown = relayed_shutdown_.load();
-  stats.decode_errors = decode_errors_.load();
-  stats.protocol_errors = protocol_errors_.load();
-  stats.info_requests = info_requests_.load();
-  // Byte and outbox stats: the closed-session accumulators plus a
-  // live-conn scan, all under sessions_mu_ so a conn retiring concurrently
-  // is counted exactly once (on_close folds and unindexes under the same
-  // lock). bytes_out IS the outbox flush count — the outbox is the only
-  // writer a front-door conn has.
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  stats.bytes_in = closed_bytes_in_;
-  stats.outbox_inflight_hwm = closed_outbox_.inflight_hwm;
-  stats.outbox_bytes_written = closed_outbox_.bytes_written;
-  stats.outbox_write_stalls = closed_outbox_.write_stalls;
-  for (const auto& [id, conn] : conns_) {
-    const SessionOutbox::Stats live = conn->outbox().GetStats();
-    stats.bytes_in += conn->bytes_in();
-    stats.outbox_inflight_hwm =
-        std::max(stats.outbox_inflight_hwm, live.inflight_hwm);
-    stats.outbox_bytes_written += live.bytes_written;
-    stats.outbox_write_stalls += live.write_stalls;
-  }
-  stats.bytes_out = stats.outbox_bytes_written;
   return stats;
 }
 
@@ -420,19 +411,14 @@ ServerInfo Router::BuildInfo() const {
 
 std::string Router::NodeId() const {
   return options_.node_id.empty()
-             ? "router:" + std::to_string(listener_.port())
+             ? "router:" + std::to_string(front_.port())
              : options_.node_id;
 }
 
 EventConn::FrameAction Router::HandleStats(EventConn* conn,
-                                           const Frame& frame) {
+                                           const StatsRequest& request) {
   auto poll = std::make_shared<StatsPoll>();
-  if (!DecodeStatsRequest(frame.payload, &poll->request)) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    SendError(conn, PeekRequestId(frame.payload), WireError::kMalformedFrame,
-              "undecodable stats request");
-    return EventConn::FrameAction::kContinue;
-  }
+  poll->request = request;
   poll->deadline = std::chrono::steady_clock::now() + kStatsPollTimeout;
   poll->answers.resize(backends_.size());
   for (size_t i = 0; i < backends_.size(); ++i) {
@@ -559,126 +545,9 @@ int64_t Router::CountSlotsDown() const {
   return down;
 }
 
-// --- Front door: acceptor + event-loop conns (the same EventLoop shape as
-// the ingress server's front door).
-
-void Router::AcceptLoop() {
-  int backoff_ms = 10;
-  while (true) {
-    ListenSocket::AcceptStatus status = ListenSocket::AcceptStatus::kShutdown;
-    Socket socket = listener_.Accept(&status);
-    if (status == ListenSocket::AcceptStatus::kTransient) {
-      // Out of fds (or kernel buffers): survive it instead of exiting.
-      // Pausing the accept path sheds politely — unaccepted peers wait in
-      // the listen backlog — and the journal entry names the ceiling so an
-      // operator raises ulimit instead of chasing drops.
-      journal_.Emit(obs::EventKind::kWatermark, obs::Severity::kWarn,
-                    "accept: fd/buffer exhaustion; backing off " +
-                        std::to_string(backoff_ms) + "ms");
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 100);
-      continue;
-    }
-    backoff_ms = 10;
-    if (status != ListenSocket::AcceptStatus::kOk) break;
-    if (stopping_.load(std::memory_order_acquire)) break;
-    auto session = std::make_shared<Session>();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      session->id = next_session_id_++;
-    }
-    EventConn::Handlers handlers;
-    handlers.on_frame = [this, session](EventConn* conn, Frame& frame) {
-      return HandleFrame(conn, session, frame);
-    };
-    handlers.on_protocol_error = [this, session](EventConn* conn,
-                                                 WireError error) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, 0, error, "unrecoverable frame stream");
-    };
-    handlers.on_close = [this, session](EventConn* conn) {
-      OnConnClosed(conn, session);
-    };
-    const std::shared_ptr<EventConn> conn =
-        loop_.Add(std::move(socket), std::move(handlers), session,
-                  options_.max_payload_bytes);
-    if (conn == nullptr) continue;  // loop stopped under us; socket dropped
-    connections_opened_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.verbose) {
-      std::fprintf(stderr, "[router] connection %llu open\n",
-                   static_cast<unsigned long long>(session->id));
-    }
-    {
-      // Index for the stats live-scan — unless the conn already retired
-      // (a connect-and-vanish client can close before this line runs).
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      if (!session->retired) conns_.emplace(session->id, conn);
-    }
-  }
-}
-
-void Router::OnConnClosed(EventConn* conn,
-                          const std::shared_ptr<Session>& session) {
-  const SessionOutbox::Stats outbox = conn->outbox().GetStats();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    session->retired = true;
-    conns_.erase(session->id);
-    closed_bytes_in_ += conn->bytes_in();
-    closed_outbox_.inflight_hwm =
-        std::max(closed_outbox_.inflight_hwm, outbox.inflight_hwm);
-    closed_outbox_.bytes_written += outbox.bytes_written;
-    closed_outbox_.write_stalls += outbox.write_stalls;
-  }
-  connections_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.verbose) {
-    std::fprintf(stderr,
-                 "[router] connection %llu closed: accepted=%lld "
-                 "bytes_in=%lld bytes_out=%lld\n",
-                 static_cast<unsigned long long>(session->id),
-                 static_cast<long long>(session->accepted.load()),
-                 static_cast<long long>(conn->bytes_in()),
-                 static_cast<long long>(outbox.bytes_written));
-  }
-}
-
-EventConn::FrameAction Router::HandleFrame(
-    EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame) {
-  switch (static_cast<MsgType>(frame.type)) {
-    case MsgType::kSubmit:
-      HandleSubmit(conn, session, std::move(frame));
-      return EventConn::FrameAction::kContinue;
-    case MsgType::kBatchSubmit:
-      return HandleBatchSubmit(conn, session, frame);
-    case MsgType::kInfoRequest: {
-      info_requests_.fetch_add(1, std::memory_order_relaxed);
-      std::vector<uint8_t> out;
-      EncodeInfo(BuildInfo(), &out);
-      conn->outbox().Push(std::move(out));
-      return EventConn::FrameAction::kContinue;
-    }
-    case MsgType::kStatsRequest:
-      return HandleStats(conn, frame);
-    case MsgType::kGoodbye: {
-      // Flush-then-ack, exactly like the ingress: the ack rides as the
-      // graceful close's final frame, which the loop pushes only after
-      // every submit this connection forwarded has its answer in the
-      // outbox.
-      std::vector<uint8_t> ack;
-      EncodeGoodbyeAck(&ack);
-      conn->BeginGracefulClose(std::move(ack));
-      return EventConn::FrameAction::kClose;
-    }
-    default:
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, 0, WireError::kUnsupportedType,
-                "unknown frame type " + std::to_string(frame.type));
-      return EventConn::FrameAction::kContinue;
-  }
-}
-
 EventConn::FrameAction Router::HandleBatchSubmit(
-    EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame) {
+    EventConn* conn, const std::shared_ptr<Session>& session,
+    BatchSubmitRequest request) {
   // The router cannot relay a batch wholesale: its items hash to different
   // slots. Unbundle into per-item singleton submit frames — request_id
   // base + i, everything shared stamped per item — and feed each through
@@ -686,17 +555,6 @@ EventConn::FrameAction Router::HandleBatchSubmit(
   // divergence sampling hold per item by construction. This is the one
   // tier that pays a decode on the batch path; the per-item forwards are
   // still the O(1) fixed-offset relay.
-  BatchSubmitRequest request;
-  if (!DecodeBatchSubmit(frame.payload, &request)) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    // The owed completion count is part of what failed to decode, so the
-    // connection's accounting is broken: typed error, then close, exactly
-    // like the ingress — a client draining the range unblocks on EOF.
-    SendError(conn, PeekRequestId(frame.payload), WireError::kMalformedFrame,
-              "undecodable batch payload");
-    conn->BeginGracefulClose();
-    return EventConn::FrameAction::kClose;
-  }
   for (size_t i = 0; i < request.items.size(); ++i) {
     SubmitRequest item;
     item.request_id = request.request_id_base + i;
@@ -710,24 +568,23 @@ EventConn::FrameAction Router::HandleBatchSubmit(
     Frame singleton;
     singleton.type = static_cast<uint8_t>(MsgType::kSubmit);
     singleton.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
-    HandleSubmit(conn, session, std::move(singleton));
+    HandleSubmit(conn, session, singleton);
   }
   return EventConn::FrameAction::kContinue;
 }
 
-void Router::HandleSubmit(EventConn* conn,
-                          const std::shared_ptr<Session>& session,
-                          Frame frame) {
+EventConn::FrameAction Router::HandleSubmit(
+    EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame) {
   // The routing key and correlation id sit at fixed offsets; anything
   // shorter cannot be a submit. Deeper validation is the backend's job —
   // its typed MALFORMED_FRAME answer relays back like any other response.
   // Like the ingress, echo the correlation id whenever the payload is
   // long enough to carry one, so the error stays attributable.
   if (frame.payload.size() < kSubmitPeekBytes) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
+    front_.CountDecodeError();
     SendError(conn, PeekRequestId(frame.payload), WireError::kMalformedFrame,
               "short submit payload");
-    return;
+    return EventConn::FrameAction::kContinue;
   }
   const uint64_t request_id = ReadLe64(frame.payload.data());
   const uint64_t seed = ReadLe64(frame.payload.data() + 8);
@@ -812,13 +669,13 @@ void Router::HandleSubmit(EventConn* conn,
         LaunchShadow(slot, served, check_id, request_id, start_ns,
                      std::move(shadow_frame));
       }
-      return;
+      break;
     case ForwardOutcome::kAnsweredElsewhere:
       if (cross_check) {
         std::lock_guard<std::mutex> lock(pending_mu_);
         checks_.erase(check_id);
       }
-      return;  // a death sweep answered (and decremented) already
+      break;  // a death sweep answered (and decremented) already
     case ForwardOutcome::kUnavailable: {
       if (cross_check) {
         std::lock_guard<std::mutex> lock(pending_mu_);
@@ -844,9 +701,10 @@ void Router::HandleSubmit(EventConn* conn,
                     " disconnected";
       SendError(conn, request_id, WireError::kBackendUnavailable, what);
       conn->outbox().FinishRequest();
-      return;
+      break;
     }
   }
+  return EventConn::FrameAction::kContinue;
 }
 
 Router::ForwardOutcome Router::Forward(Backend* backend, uint64_t ticket,
@@ -1196,7 +1054,7 @@ void Router::HandleBackendFrame(Backend* backend, Frame frame) {
     // poll already replied without it; the bytes are simply dropped.
     StatsInfo answer;
     const bool ok = DecodeStats(frame.payload, &answer);
-    if (!ok) protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    if (!ok) front_.CountProtocolError();
     std::lock_guard<std::mutex> lock(stats_mu_);
     const auto it = stats_probes_.find(PeekRequestId(frame.payload));
     if (it == stats_probes_.end()) return;
@@ -1207,11 +1065,11 @@ void Router::HandleBackendFrame(Backend* backend, Frame frame) {
     return;
   }
   if (type != MsgType::kSubmitResult && type != MsgType::kError) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    front_.CountProtocolError();
     return;
   }
   if (frame.payload.size() < 8) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    front_.CountProtocolError();
     return;
   }
   const uint64_t ticket = ReadLe64(frame.payload.data());
@@ -1219,7 +1077,7 @@ void Router::HandleBackendFrame(Backend* backend, Frame frame) {
     // A stream-level complaint not attributable to one request. The
     // router only relays well-formed frames, so this is a backend-side
     // anomaly; it will be followed by the connection dropping.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    front_.CountProtocolError();
     return;
   }
   Pending pending;

@@ -15,8 +15,7 @@
 
 #include "net/client.h"
 #include "net/event_loop.h"
-#include "net/session_outbox.h"
-#include "net/socket.h"
+#include "net/front_door.h"
 #include "net/wire_protocol.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
@@ -32,10 +31,14 @@ struct BackendAddress {
   uint16_t port = 0;
 };
 
-struct RouterOptions {
-  // Front-door TCP port; 0 asks the kernel for an ephemeral port (read the
-  // result from port() after Start). Loopback-only, like the ingress.
-  uint16_t port = 0;
+// Parses a backend list: "4521,4522" or "host:4521,host:4522", mixed forms
+// allowed; the host defaults to 127.0.0.1. Every port must be a whole
+// base-10 token in [1, 65535], and a host before a colon must be non-empty.
+// Appends to *out; false on the first bad item or an empty list.
+bool ParseBackendList(const std::string& text,
+                      std::vector<BackendAddress>* out);
+
+struct RouterOptions : FrontDoorOptions {
   // The fleet. Routing is FlowServer::ShardFor(seed, num_slots) where
   // num_slots = backends.size() / replicas, so the slot a request lands on
   // — and therefore every result byte — is a pure function of the
@@ -67,17 +70,6 @@ struct RouterOptions {
   // stalls everything routed there, exactly like in-process Submit); more
   // connections let unrelated sessions bypass a stalled stream.
   int connections_per_backend = 1;
-  // Per-frame payload ceiling on the front door.
-  uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  // Upper bound on the shutdown flush: how long Stop() lets graceful
-  // closes drain their outboxes before force-closing stragglers (a client
-  // that stops reading cannot wedge Stop()). Backend sends are
-  // deliberately unbounded: a stalled backend send IS the backpressure
-  // path.
-  int send_timeout_ms = 10000;
-  // Event-loop threads owning the front-door sockets; 0 picks
-  // min(4, hardware_concurrency).
-  int event_threads = 0;
   // Start() fails unless every backend completed its Info handshake within
   // this window (connection attempts retry with backoff inside it).
   double connect_timeout_s = 10.0;
@@ -85,7 +77,6 @@ struct RouterOptions {
   // failed attempt up to the cap.
   int backoff_initial_ms = 50;
   int backoff_max_ms = 2000;
-  bool verbose = false;
   // Identity reported in Info responses; empty means "router:<port>".
   std::string node_id;
   // Observability for the routing tier's own TraceRecorder. The router is
@@ -157,7 +148,7 @@ struct RouterOptions {
 // tickets to be answered (the backend pool is still live) and flushes the
 // responses — and only then send Goodbye to the backends and retire the
 // pool.
-class Router {
+class Router : private FrontDoor::Handler {
  public:
   explicit Router(RouterOptions options);
   ~Router();
@@ -174,7 +165,7 @@ class Router {
   void Stop();
 
   // The bound front port (meaningful after a successful Start).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return front_.port(); }
 
   int num_backends() const { return static_cast<int>(backends_.size()); }
 
@@ -182,7 +173,7 @@ class Router {
   // per-backend RouterStats — the same objects a client reads via Info.
   runtime::IngressStats front_stats() const;
   RouterStats router_stats() const;
-  ServerInfo BuildInfo() const;
+  ServerInfo BuildInfo() const override;
 
   // Prometheus-style text exposition of every registered metric family —
   // the metrics section of a STATS answer and what --metrics-dump prints.
@@ -193,17 +184,7 @@ class Router {
   const obs::HealthCollector& health() const { return health_; }
 
  private:
-  // Per-connection session state on the front door (EventConn::user) —
-  // the same shape as the ingress server's sessions: the conn itself and
-  // its outbox carry the byte counters, this carries the rest.
-  struct Session {
-    uint64_t id = 0;
-    std::atomic<int64_t> accepted{0};
-    // True once on_close folded this session's stats (or, for a conn that
-    // retired before the acceptor could index it, suppresses the index
-    // insert). Guarded by sessions_mu_.
-    bool retired = false;
-  };
+  using Session = FrontDoor::Session;
 
   // One pooled wire connection to a backend. The conn thread owns the
   // connect/handshake/read/reconnect lifecycle and is the only writer of
@@ -303,25 +284,26 @@ class Router {
     size_t backend_index = 0;
   };
 
-  void AcceptLoop();
-  // One decoded frame, on the conn's owning loop thread. Forwarding never
-  // stalls a front-door conn: it either succeeds (the blocking backend
-  // send IS the backpressure path) or fails fast with a typed error. Only
-  // a STATS poll returns kStall, while it waits for backend answers.
-  EventConn::FrameAction HandleFrame(EventConn* conn,
-                                     const std::shared_ptr<Session>& session,
-                                     Frame& frame);
-  void HandleSubmit(EventConn* conn, const std::shared_ptr<Session>& session,
-                    Frame frame);
+  // FrontDoor::Handler. Forwarding never stalls a front-door conn: it
+  // either succeeds (the blocking backend send IS the backpressure path)
+  // or fails fast with a typed error. Only a STATS poll returns kStall,
+  // while it waits for backend answers.
+  EventConn::FrameAction HandleSubmit(EventConn* conn,
+                                      const std::shared_ptr<Session>& session,
+                                      Frame& frame) override;
   // Unbundles a v7 BATCH_SUBMIT into per-item singleton submit frames fed
   // through HandleSubmit (items hash to different slots, so the router is
   // the one tier that cannot relay a batch wholesale). Item i forwards
   // under request_id_base + i; every ticket/failover/divergence invariant
-  // is then the singleton path's by construction. An undecodable batch
-  // closes the connection (kClose): the owed completion count is
-  // unknowable, so the stream's accounting cannot be repaired.
+  // is then the singleton path's by construction.
   EventConn::FrameAction HandleBatchSubmit(
-      EventConn* conn, const std::shared_ptr<Session>& session, Frame& frame);
+      EventConn* conn, const std::shared_ptr<Session>& session,
+      BatchSubmitRequest request) override;
+  // Fans a STATS_REQUEST out to every backend and parks the reply on the
+  // conn (kStall) until every backend answered or the poll deadline
+  // passed; the loop thread never waits.
+  EventConn::FrameAction HandleStats(EventConn* conn,
+                                     const StatsRequest& request) override;
   // One forward attempt against one backend: registers *pending under
   // `ticket` (consuming it) and sends its frame. On kUnavailable the
   // pending is handed back untouched so the caller can try a sibling.
@@ -339,10 +321,6 @@ class Router {
   // settles the check when both sides are in.
   void ResolveDivergence(uint64_t check_id, bool is_primary, bool ok,
                          uint64_t fingerprint);
-  // EventConn on_close hook: folds the conn's byte/outbox stats into the
-  // closed-session accumulators exactly once.
-  void OnConnClosed(EventConn* conn, const std::shared_ptr<Session>& session);
-
   // Backend-pool machinery, all on the per-connection thread.
   void BackendLoop(Backend* backend, BackendConn* conn);
   bool Handshake(Backend* backend, Client* client);
@@ -353,10 +331,6 @@ class Router {
   // BACKEND_UNAVAILABLE; divergence shadows are abandoned.
   void FailPendingOn(int backend_index, int conn_index);
 
-  // Fans a STATS_REQUEST out to every backend and parks the reply on the
-  // conn (kStall) until every backend answered or the poll deadline
-  // passed; the loop thread never waits.
-  EventConn::FrameAction HandleStats(EventConn* conn, const Frame& frame);
   // The reply once the poll settled: the router's own entry plus one per
   // backend, synthesized for a backend that did not answer in time.
   void AnswerStats(EventConn* conn, StatsPoll* poll);
@@ -387,13 +361,9 @@ class Router {
   // path (submit forwarded -> result relayed): the cross-node counterpart
   // of the ingress's dflow_wall_latency_us.
   obs::Histogram* wall_latency_us_ = nullptr;
-  ListenSocket listener_;
-  // The front door: a fixed pool of epoll threads owning every accepted
-  // socket (see EventLoop). Declared after listener_; stopped by Stop()
-  // before the backend pool retires, because graceful closes wait for
-  // in-flight tickets the backends still owe answers to.
-  EventLoop loop_;
-  std::thread acceptor_;
+  // Stopped by Stop() before the backend pool retires, because graceful
+  // closes wait for in-flight tickets the backends still owe answers to.
+  FrontDoor front_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::mutex stop_mu_;  // serializes Stop()
@@ -428,17 +398,6 @@ class Router {
   std::mutex backoff_mu_;
   std::condition_variable backoff_cv_;
 
-  // Live conns indexed by session id, for the stats live-scan; closed
-  // conns fold into the accumulators below under the same lock (exactly
-  // once, see Session::retired).
-  mutable std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<EventConn>> conns_;
-  uint64_t next_session_id_ = 1;
-  // Byte/outbox stats of sessions that already tore down (under
-  // sessions_mu_); the HWM folds by max, the totals by sum.
-  SessionOutbox::Stats closed_outbox_;
-  int64_t closed_bytes_in_ = 0;
-
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, Pending> pending_;
   // In-flight divergence checks, keyed by the shadow copy's ticket (also
@@ -452,18 +411,14 @@ class Router {
   std::atomic<int64_t> divergence_mismatches_{0};
   std::atomic<int64_t> divergence_incomplete_{0};
 
-  // Front-door aggregates (IngressStats shape; `accepted` means forwarded
-  // to a backend — the router's notion of admission).
-  std::atomic<int64_t> connections_opened_{0};
-  std::atomic<int64_t> connections_closed_{0};
+  // Front-door request aggregates (IngressStats shape; `accepted` means
+  // forwarded to a backend — the router's notion of admission). The
+  // connection, byte and error counters live in front_.
   std::atomic<int64_t> requests_routed_{0};
   std::atomic<int64_t> relayed_results_{0};
   std::atomic<int64_t> relayed_busy_{0};
   std::atomic<int64_t> relayed_shutdown_{0};
   std::atomic<int64_t> unavailable_total_{0};
-  std::atomic<int64_t> decode_errors_{0};
-  std::atomic<int64_t> protocol_errors_{0};
-  std::atomic<int64_t> info_requests_{0};
 };
 
 }  // namespace dflow::net

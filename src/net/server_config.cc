@@ -1,6 +1,7 @@
 #include "net/server_config.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -29,12 +30,16 @@ bool ParseUint64(const char* text, uint64_t* out) {
   return true;
 }
 
+// Strict finite number: "nan", "inf" and overflowing values are refused.
 bool ParseDouble(const char* text, double* out) {
   if (*text == '\0') return false;
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(text, &end);
-  if (errno == ERANGE || end == text || *end != '\0') return false;
+  if (errno == ERANGE || end == text || *end != '\0' ||
+      !std::isfinite(parsed)) {
+    return false;
+  }
   *out = parsed;
   return true;
 }
@@ -164,7 +169,7 @@ ServerConfig& ServerConfig::Double(const char* name, double* target,
   }
   row.parse = [target](const char* value, std::string* error) {
     if (!ParseDouble(value, target)) {
-      *error = "must be a number";
+      *error = "must be a finite number";
       return false;
     }
     return true;
@@ -231,8 +236,10 @@ ServerConfig& ServerConfig::Megabytes(const char* name, uint64_t* target,
   }
   row.parse = [target](const char* value, std::string* error) {
     double megabytes = 0;
-    if (!ParseDouble(value, &megabytes) || megabytes < 0) {
-      *error = "must be a non-negative number of megabytes";
+    // 2^64 bytes is the first count a uint64_t cannot hold.
+    if (!ParseDouble(value, &megabytes) || megabytes < 0 ||
+        megabytes * 1024 * 1024 >= 18446744073709551616.0) {
+      *error = "must be a non-negative number of megabytes below 2^44";
       return false;
     }
     *target = static_cast<uint64_t>(megabytes * 1024 * 1024);

@@ -53,6 +53,7 @@ class ServerConfig {
                       long long min_value = INT64_MIN,
                       long long max_value = INT64_MAX);
   ServerConfig& Uint64(const char* name, uint64_t* target, const char* doc);
+  // Finite numbers only: "nan", "inf" and overflowing values are refused.
   ServerConfig& Double(const char* name, double* target, const char* doc);
   ServerConfig& String(const char* name, std::string* target, const char* doc);
   // Bare --name sets *target = true (there is no --no-name form; register
@@ -61,7 +62,8 @@ class ServerConfig {
   // 1-in-N sampling period: accepts "N" or "1/N"; 0 disables.
   ServerConfig& SamplePeriod(const char* name, uint32_t* target,
                              const char* doc);
-  // Fractional megabytes to bytes ("--name=1.5" -> 1572864).
+  // Fractional megabytes to bytes ("--name=1.5" -> 1572864). Refuses
+  // negative and non-finite values and any byte count past uint64_t.
   ServerConfig& Megabytes(const char* name, uint64_t* target, const char* doc);
   // Escape hatch for shapes the typed registrations don't cover (enum
   // words, address lists). `parse` returns false and fills *error with
