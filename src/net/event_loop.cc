@@ -109,8 +109,8 @@ struct LoopThread {
   bool ServiceWrites(const std::shared_ptr<EventConn>& conn) {
     EventConn* c = conn.get();
     const SessionOutbox::DrainStatus status = c->outbox_.TryDrain(
-        [c](const uint8_t* data, size_t size) {
-          return c->socket_.SendSome(data, size);
+        [c](const iovec* iov, size_t count) {
+          return c->socket_.SendSomeV(iov, count);
         });
     switch (status) {
       case SessionOutbox::DrainStatus::kBlocked:
@@ -469,9 +469,11 @@ void EventLoop::Run(LoopThread* lt) {
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == lt->wake_fd) {
-        uint64_t drained;
-        while (::read(lt->wake_fd, &drained, sizeof(drained)) > 0) {
-        }
+        // One read resets a (non-semaphore) eventfd to zero, however many
+        // writes rang it.
+        uint64_t rings;
+        [[maybe_unused]] const ssize_t r =
+            ::read(lt->wake_fd, &rings, sizeof(rings));
         continue;
       }
       const auto it = lt->conns.find(fd);

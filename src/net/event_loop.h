@@ -134,8 +134,11 @@ class EventLoop {
  public:
   struct Options {
     // Loop threads in the pool; 0 picks min(4, hardware_concurrency).
-    // Socket work per connection is tiny compared to shard execution, so
-    // a handful of loop threads saturates well past 10k connections.
+    // Socket work is not free: on a cache-hit workload the loop thread,
+    // not the shards, is the busy one, mostly in send/recv syscalls. It
+    // is bounded per drain pass, though (one doorbell and one gathered
+    // send, see SessionOutbox), so a handful of loop threads carries 10k+
+    // connections.
     int num_threads = 0;
     // How long Stop() waits for graceful closes to flush before
     // force-closing stragglers (a peer that never drains its socket must

@@ -33,6 +33,10 @@ FrontDoor::FrontDoor(const FrontDoorOptions& options, const char* tag,
                       [this] { return Stats().bytes_in; });
   metrics->AddCounter("dflow_bytes_out_total", {},
                       [this] { return Stats().bytes_out; });
+  metrics->AddCounter("dflow_outbox_sends_total", {}, [this] {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    return OutboxTotalsLocked().sends;
+  });
 }
 
 FrontDoor::~FrontDoor() { Stop(); }
@@ -80,19 +84,25 @@ runtime::IngressStats FrontDoor::Stats() const {
   // writer a conn has.
   std::lock_guard<std::mutex> lock(sessions_mu_);
   stats.bytes_in = closed_bytes_in_;
-  stats.outbox_inflight_hwm = closed_outbox_.inflight_hwm;
-  stats.outbox_bytes_written = closed_outbox_.bytes_written;
-  stats.outbox_write_stalls = closed_outbox_.write_stalls;
-  for (const auto& [id, conn] : conns_) {
-    const SessionOutbox::Stats live = conn->outbox().GetStats();
-    stats.bytes_in += conn->bytes_in();
-    stats.outbox_inflight_hwm =
-        std::max(stats.outbox_inflight_hwm, live.inflight_hwm);
-    stats.outbox_bytes_written += live.bytes_written;
-    stats.outbox_write_stalls += live.write_stalls;
-  }
+  for (const auto& [id, conn] : conns_) stats.bytes_in += conn->bytes_in();
+  const SessionOutbox::Stats outbox = OutboxTotalsLocked();
+  stats.outbox_inflight_hwm = outbox.inflight_hwm;
+  stats.outbox_bytes_written = outbox.bytes_written;
+  stats.outbox_write_stalls = outbox.write_stalls;
   stats.bytes_out = stats.outbox_bytes_written;
   return stats;
+}
+
+SessionOutbox::Stats FrontDoor::OutboxTotalsLocked() const {
+  SessionOutbox::Stats total = closed_outbox_;
+  for (const auto& [id, conn] : conns_) {
+    const SessionOutbox::Stats live = conn->outbox().GetStats();
+    total.inflight_hwm = std::max(total.inflight_hwm, live.inflight_hwm);
+    total.bytes_written += live.bytes_written;
+    total.sends += live.sends;
+    total.write_stalls += live.write_stalls;
+  }
+  return total;
 }
 
 void FrontDoor::AcceptLoop() {
@@ -162,17 +172,19 @@ void FrontDoor::OnConnClosed(EventConn* conn, Session* session) {
     closed_outbox_.inflight_hwm =
         std::max(closed_outbox_.inflight_hwm, outbox.inflight_hwm);
     closed_outbox_.bytes_written += outbox.bytes_written;
+    closed_outbox_.sends += outbox.sends;
     closed_outbox_.write_stalls += outbox.write_stalls;
   }
   connections_closed_.fetch_add(1, std::memory_order_relaxed);
   if (options_.verbose) {
     std::fprintf(stderr,
                  "[%s] connection %llu closed: accepted=%lld bytes_in=%lld "
-                 "bytes_out=%lld\n",
+                 "bytes_out=%lld sends=%lld\n",
                  tag_, static_cast<unsigned long long>(session->id),
                  static_cast<long long>(session->accepted.load()),
                  static_cast<long long>(conn->bytes_in()),
-                 static_cast<long long>(outbox.bytes_written));
+                 static_cast<long long>(outbox.bytes_written),
+                 static_cast<long long>(outbox.sends));
   }
 }
 

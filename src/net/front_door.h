@@ -35,8 +35,7 @@ struct FrontDoorOptions {
   // that stops reading cannot wedge Stop() forever.
   int send_timeout_ms = 10000;
   // Event-loop threads owning the sockets; 0 picks
-  // min(4, hardware_concurrency). Socket work is tiny next to request
-  // execution, so a handful of loop threads carries 10k+ connections.
+  // min(4, hardware_concurrency). See EventLoop::Options::num_threads.
   int event_threads = 0;
   // Per-connection open/close log lines on stderr.
   bool verbose = false;
@@ -137,6 +136,10 @@ class FrontDoor {
   // EventConn on_close hook: folds the conn's byte/outbox stats into the
   // closed-session accumulators exactly once.
   void OnConnClosed(EventConn* conn, Session* session);
+  // The outbox stats of every conn ever accepted: the closed-session
+  // accumulator plus a live-conn scan (HWM by max, the rest by sum).
+  // Callers hold sessions_mu_.
+  SessionOutbox::Stats OutboxTotalsLocked() const;
 
   const FrontDoorOptions options_;
   const char* const tag_;

@@ -11,9 +11,12 @@ void SessionOutbox::Push(std::vector<uint8_t> frame) {
     if (out_closed_) return;  // session tearing down; drop
     if (!outbox_.empty()) ++write_stalls_;  // queued behind unsent frames
     outbox_.push_back(std::move(frame));
+    // A drain is already scheduled and has not begun: it will see this
+    // frame, so the doorbell stays quiet.
+    if (wake_pending_) return;
+    wake_pending_ = true;
     wake = wake_;
   }
-  out_cv_.notify_one();
   if (wake) wake();
 }
 
@@ -24,7 +27,6 @@ void SessionOutbox::Close() {
     out_closed_ = true;
     wake = wake_;
   }
-  out_cv_.notify_all();
   if (wake) wake();
 }
 
@@ -33,37 +35,14 @@ void SessionOutbox::SetWakeCallback(std::function<void()> wake) {
   wake_ = std::move(wake);
 }
 
-void SessionOutbox::DrainTo(
-    const std::function<bool(const std::vector<uint8_t>&)>& send) {
-  while (true) {
-    std::vector<uint8_t> frame;
-    {
-      std::unique_lock<std::mutex> lock(out_mu_);
-      out_cv_.wait(lock, [&] { return !outbox_.empty() || out_closed_; });
-      if (outbox_.empty()) return;  // closed and drained
-      frame = std::move(outbox_.front());
-      outbox_.pop_front();
-      if (dead_) continue;  // discard; peer is unreachable
-    }
-    const bool sent = send(frame);
-    {
-      std::lock_guard<std::mutex> lock(out_mu_);
-      if (sent) {
-        bytes_written_ += static_cast<int64_t>(frame.size());
-      } else {
-        dead_ = true;
-      }
-    }
-  }
-}
-
-SessionOutbox::DrainStatus SessionOutbox::TryDrain(
-    const std::function<IoResult(const uint8_t*, size_t)>& send_some) {
+SessionOutbox::DrainStatus SessionOutbox::TryDrain(const GatherSend& send) {
   std::unique_lock<std::mutex> lock(out_mu_);
+  wake_pending_ = false;
+  iovec iov[kMaxGather];
   while (true) {
     if (dead_ && !outbox_.empty()) {
-      // Peer unreachable: discard, as DrainTo does, so Close() still
-      // converges to kComplete and teardown never wedges.
+      // Peer unreachable: discard, so Close() still converges to
+      // kComplete and teardown never wedges.
       outbox_.clear();
       write_offset_ = 0;
     }
@@ -72,22 +51,32 @@ SessionOutbox::DrainStatus SessionOutbox::TryDrain(
     }
     // Send outside the lock so shard workers can keep Pushing. Safe: only
     // this (single-drainer) thread pops, and push_back on a deque does not
-    // invalidate the front reference.
-    std::vector<uint8_t>& frame = outbox_.front();
-    const size_t offset = write_offset_;
+    // invalidate references to the frames already queued.
+    size_t count = 0;
+    size_t offset = write_offset_;
+    for (auto it = outbox_.begin();
+         it != outbox_.end() && count < kMaxGather; ++it, ++count) {
+      iov[count].iov_base = it->data() + offset;
+      iov[count].iov_len = it->size() - offset;
+      offset = 0;
+    }
     lock.unlock();
-    const IoResult result =
-        send_some(frame.data() + offset, frame.size() - offset);
+    const IoResult result = send(iov, count);
     lock.lock();
     switch (result.status) {
-      case IoStatus::kOk:
+      case IoStatus::kOk: {
         bytes_written_ += static_cast<int64_t>(result.bytes);
-        write_offset_ += result.bytes;
-        if (write_offset_ == outbox_.front().size()) {
+        ++sends_;
+        size_t left = result.bytes;
+        while (!outbox_.empty() &&
+               outbox_.front().size() - write_offset_ <= left) {
+          left -= outbox_.front().size() - write_offset_;
           outbox_.pop_front();
           write_offset_ = 0;
         }
+        write_offset_ += left;  // the frame cut mid-way, if any
         break;
+      }
       case IoStatus::kWouldBlock:
         return DrainStatus::kBlocked;
       case IoStatus::kEof:
@@ -105,16 +94,8 @@ void SessionOutbox::BeginRequest() {
 }
 
 void SessionOutbox::FinishRequest() {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    --inflight_;
-  }
-  inflight_cv_.notify_all();
-}
-
-void SessionOutbox::WaitDrained() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  inflight_cv_.wait(lock, [&] { return inflight_ == 0; });
+  std::lock_guard<std::mutex> lock(inflight_mu_);
+  --inflight_;
 }
 
 int64_t SessionOutbox::Inflight() const {
@@ -127,6 +108,7 @@ SessionOutbox::Stats SessionOutbox::GetStats() const {
   {
     std::lock_guard<std::mutex> lock(out_mu_);
     stats.bytes_written = bytes_written_;
+    stats.sends = sends_;
     stats.write_stalls = write_stalls_;
   }
   std::lock_guard<std::mutex> lock(inflight_mu_);

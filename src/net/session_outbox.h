@@ -1,7 +1,7 @@
 #ifndef DFLOW_NET_SESSION_OUTBOX_H_
 #define DFLOW_NET_SESSION_OUTBOX_H_
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -12,103 +12,112 @@
 
 namespace dflow::net {
 
-// The front-door session plumbing IngressServer and Router share: the
-// encoded-frame outbox a dedicated writer drains, and the in-flight
-// request accounting behind the drain-answers-everything shutdown
-// invariant. Extracted so the invariants live in one place:
+// The write side of one front-door connection, shared by IngressServer and
+// Router through net::EventLoop: the queue of encoded answer frames, which
+// any thread may fill and only the conn's owning loop thread drains, and
+// the in-flight request accounting behind the drain-answers-everything
+// close. The invariants:
 //
-//   - Push() after Close() drops the frame (the session is tearing down;
-//     nothing may be appended once the writer was told the stream is
-//     complete);
-//   - a failed send marks the session dead, and the writer then *drains
-//     without sending* — teardown never wedges on an unreachable peer;
-//   - the reader-side teardown order is WaitDrained() (every admitted
-//     request answered into the outbox) then Close() then joining the
-//     writer, so a client that waits for its responses sees all of them
+//   - Push() after Close() drops the frame (the conn is tearing down;
+//     nothing may be appended once the stream was declared complete);
+//   - a failed send marks the session dead, and the drain then *discards
+//     instead of sending* — teardown never wedges on an unreachable peer;
+//   - the loop closes gracefully only once Inflight() is zero (every
+//     admitted request answered into the outbox), then Close()s and
+//     flushes, so a client that waits for its responses sees all of them
 //     before the FIN.
 //
-// Threading: Push/Begin/Finish from any thread (session readers, shard
-// workers, backend conn threads); DrainTo from the single writer thread;
-// WaitDrained/Close from the session reader during teardown.
+// The write path spends one doorbell and one syscall per drain pass, not
+// one per frame: Push rings the wake callback only when no drain is
+// already pending, and TryDrain hands up to kMaxGather queued frames to a
+// single gathered send.
+//
+// Threading: Push/Begin/Finish/Close from any thread (the loop thread,
+// shard workers, backend conn threads); TryDrain from the owning loop
+// thread only.
 class SessionOutbox {
  public:
+  // The most frames one TryDrain send gathers (well under IOV_MAX).
+  static constexpr size_t kMaxGather = 64;
+
   SessionOutbox() = default;
   SessionOutbox(const SessionOutbox&) = delete;
   SessionOutbox& operator=(const SessionOutbox&) = delete;
 
-  // Enqueues one encoded frame for the writer, unless the outbox is
-  // closed (then the frame is dropped — the peer already got everything
-  // it was owed).
+  // Enqueues one encoded frame for the drain, unless the outbox is closed
+  // (then the frame is dropped — the peer already got everything it was
+  // owed). Rings the wake callback only if no drain is pending since the
+  // last TryDrain began.
   void Push(std::vector<uint8_t> frame);
 
-  // Marks the stream complete: the writer retires once the backlog is
-  // drained, and further Push()es are dropped.
+  // Marks the stream complete: TryDrain reports kComplete once the backlog
+  // is flushed, and further Push()es are dropped. Always rings the wake
+  // callback.
   void Close();
 
-  // The writer loop: blocks for frames and hands each to `send` until the
-  // outbox is closed and drained. `send` returns false on transport
-  // failure, after which the session is dead and the remaining frames are
-  // discarded (the loop still runs to completion so Close() releases it).
-  void DrainTo(const std::function<bool(const std::vector<uint8_t>&)>& send);
-
-  // Outcome of one TryDrain pass (the event-loop writer).
+  // Outcome of one TryDrain pass.
   enum class DrainStatus : uint8_t {
     kDrained,   // outbox empty; the stream is still open
-    kBlocked,   // the socket buffer filled mid-frame — arm EPOLLOUT
+    kBlocked,   // the socket buffer filled — arm EPOLLOUT
     kComplete,  // Close() seen and every frame flushed (or discarded)
   };
 
-  // Non-blocking drain for an event-loop conn: sends as much of the
-  // backlog as the socket takes right now, tracking a partial-write offset
-  // into the front frame across calls. A failed send marks the session
-  // dead exactly like DrainTo (subsequent frames are discarded, the
-  // status converges to kDrained/kComplete so teardown never wedges).
-  // Single-drainer: only the conn's owning loop thread may call this (or
-  // DrainTo — never both on one outbox).
-  DrainStatus TryDrain(
-      const std::function<IoResult(const uint8_t*, size_t)>& send_some);
+  // One gathered send attempt: `send` gets up to kMaxGather iovecs (the
+  // front frame's unsent tail, then whole frames) and reports how many
+  // bytes it took. Socket::SendSomeV is the production sender.
+  using GatherSend = std::function<IoResult(const iovec*, size_t)>;
 
-  // Installs a callback invoked (outside the lock) after every Push that
-  // enqueued a frame and after Close() — the event loop's cross-thread
-  // "this conn has bytes to write" doorbell. Install before the conn
-  // starts handling frames; not synchronized against in-flight Pushes.
+  // Non-blocking drain: sends as much of the backlog as `send` takes right
+  // now, popping every fully sent frame and keeping the offset into a
+  // frame cut mid-way across calls. Clears the pending-wake flag before it
+  // looks at the queue, so a Push that lands after that point rings again
+  // and no wake is lost. A failed send marks the session dead (the rest is
+  // discarded; the status converges to kDrained/kComplete so teardown
+  // never wedges). Single-drainer: only the conn's owning loop thread may
+  // call this.
+  DrainStatus TryDrain(const GatherSend& send);
+
+  // Installs the callback Push (coalesced) and Close (always) invoke
+  // outside the lock — the event loop's cross-thread "this conn has bytes
+  // to write" doorbell. Install before the conn starts handling frames;
+  // not synchronized against in-flight Pushes.
   void SetWakeCallback(std::function<void()> wake);
 
   // In-flight accounting: one Begin per admitted request, one Finish per
-  // answer enqueued (or per unwound refusal). WaitDrained blocks until
-  // they balance — the "every admitted request answered" barrier.
+  // answer enqueued (or per unwound refusal). The event loop polls
+  // Inflight() during graceful close and finalizes once it reaches zero.
   void BeginRequest();
   void FinishRequest();
-  void WaitDrained();
-  // Current Begin/Finish imbalance — the event loop polls this instead of
-  // parking a thread in WaitDrained during graceful close.
   int64_t Inflight() const;
 
   // Write-side health counters for this session. inflight_hwm is the peak
   // Begin/Finish imbalance (how deep the session ever ran); bytes_written
-  // counts bytes actually handed to a *successful* send; write_stalls
-  // counts Pushes that queued behind unsent frames (the writer was not
-  // keeping up at that instant — a per-event signal, not a duration).
+  // counts bytes actually handed to a *successful* send; sends counts
+  // those successful send calls (bytes_written / sends is the gather
+  // depth); write_stalls counts Pushes that queued behind unsent frames
+  // (the drain was not keeping up at that instant — a per-event signal,
+  // not a duration).
   struct Stats {
     int64_t inflight_hwm = 0;
     int64_t bytes_written = 0;
+    int64_t sends = 0;
     int64_t write_stalls = 0;
   };
   Stats GetStats() const;
 
  private:
   mutable std::mutex out_mu_;
-  std::condition_variable out_cv_;
   std::deque<std::vector<uint8_t>> outbox_;
   bool out_closed_ = false;
-  bool dead_ = false;  // a send failed; drain without sending
+  bool dead_ = false;          // a send failed; drain without sending
+  bool wake_pending_ = false;  // rung since the last TryDrain began
   int64_t bytes_written_ = 0;  // under out_mu_
+  int64_t sends_ = 0;          // under out_mu_
   int64_t write_stalls_ = 0;   // under out_mu_
   size_t write_offset_ = 0;  // bytes of outbox_.front() already sent
   std::function<void()> wake_;  // under out_mu_ (copied out to invoke)
 
   mutable std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
   int64_t inflight_ = 0;
   int64_t inflight_hwm_ = 0;  // under inflight_mu_
 };

@@ -139,9 +139,12 @@ bool Socket::SetNonBlocking() {
   return ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-IoResult Socket::SendSome(const void* data, size_t size) {
+IoResult Socket::SendSomeV(const iovec* iov, size_t count) {
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = count;
   while (true) {
-    const ssize_t n = ::send(fd_, data, size, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n >= 0) return {IoStatus::kOk, static_cast<size_t>(n)};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {

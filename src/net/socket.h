@@ -2,6 +2,7 @@
 #define DFLOW_NET_SOCKET_H_
 
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -15,7 +16,7 @@ namespace dflow::net {
 // Deliberately not a general networking layer; IPv4 only ("localhost" is
 // accepted as an alias for 127.0.0.1).
 
-// Outcome of one non-blocking transfer attempt (SendSome/RecvSome).
+// Outcome of one non-blocking transfer attempt (SendSomeV/RecvSome).
 // kWouldBlock is the event loop's "arm epoll and come back" signal; kEof
 // only occurs on the receive side (orderly peer close).
 enum class IoStatus : uint8_t { kOk, kWouldBlock, kEof, kError };
@@ -68,10 +69,12 @@ class Socket {
   // false when the fcntl fails.
   bool SetNonBlocking();
 
-  // One non-blocking send attempt: transfers what the socket buffer takes
-  // right now. EINTR is retried; a full buffer is kWouldBlock (arm
-  // EPOLLOUT), a vanished peer is kError. Never raises SIGPIPE.
-  IoResult SendSome(const void* data, size_t size);
+  // One non-blocking gathered send attempt: a single sendmsg of the
+  // `count` buffers, in order, transferring what the socket buffer takes
+  // right now (possibly ending mid-buffer). EINTR is retried; a full
+  // buffer is kWouldBlock (arm EPOLLOUT), a vanished peer is kError. Never
+  // raises SIGPIPE.
+  IoResult SendSomeV(const iovec* iov, size_t count);
 
   // One non-blocking receive attempt. EINTR is retried; an empty buffer is
   // kWouldBlock, an orderly peer close is kEof.

@@ -13,18 +13,24 @@ namespace {
 
 void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+// Appends `v` little-endian: one resize and one memcpy of the whole word
+// on little-endian hosts, a byte-at-a-time shift elsewhere.
+template <typename Word>
+void PutWord(Word v, std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + sizeof(Word));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out->data() + at, &v, sizeof(Word));
+  } else {
+    for (size_t i = 0; i < sizeof(Word); ++i) {
+      (*out)[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
 }
 
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+void PutU16(uint16_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
+void PutU32(uint32_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
+void PutU64(uint64_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
 
 void PutI64(int64_t v, std::vector<uint8_t>* out) {
   PutU64(static_cast<uint64_t>(v), out);
@@ -57,6 +63,22 @@ void PutValue(const Value& value, std::vector<uint8_t>* out) {
       PutString(value.string_value(), out);
       break;
   }
+}
+
+// The encoded size of one Value (PutValue's output).
+size_t ValueWireBytes(const Value& value) {
+  switch (value.type()) {
+    case Value::Type::kNull:
+      return 1;
+    case Value::Type::kBool:
+      return 2;
+    case Value::Type::kInt:
+    case Value::Type::kDouble:
+      return 9;
+    case Value::Type::kString:
+      return 5 + value.string_value().size();
+  }
+  return 1;
 }
 
 // --- Bounds-checked little-endian reader over a payload. Every Get fails
@@ -667,6 +689,23 @@ bool DecodeBatchSubmit(const std::vector<uint8_t>& payload,
 }
 
 void EncodeSubmitResult(const SubmitResult& msg, std::vector<uint8_t>* out) {
+  // Reserve the whole frame once: the header, 52 fixed body bytes, the
+  // strategy string, the snapshot flag and entries, then the trailer
+  // (trace id, spans, count). Growth stays at least geometric, so a caller
+  // appending many frames to one buffer stays linear.
+  size_t bytes = kFrameHeaderBytes + 52 + 4 + msg.strategy.size() + 1 + 8 +
+                 kWireSpanBytes * std::min<size_t>(msg.spans.size(), 255) +
+                 1;
+  if (msg.has_snapshot) {
+    bytes += 4;
+    for (const SnapshotEntry& entry : msg.snapshot) {
+      bytes += 5 + ValueWireBytes(entry.value);
+    }
+  }
+  const size_t need = out->size() + bytes;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
   const size_t frame = BeginFrame(MsgType::kSubmitResult, out);
   PutU64(msg.request_id, out);
   PutU32(static_cast<uint32_t>(msg.shard), out);
