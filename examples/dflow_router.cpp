@@ -58,8 +58,6 @@ int main(int argc, char** argv) {
                 }
                 return true;
               })
-      .Int("pool", &options.connections_per_backend,
-           "forwarding connections per backend", 1, 256)
       .Int("replicas", &options.replicas,
            "replica group width: consecutive runs of N backends form one "
            "hash slot; the router prefers the group's lowest live member "
@@ -157,13 +155,11 @@ int main(int argc, char** argv) {
   const net::ServerInfo info = router.BuildInfo();
   std::printf(
       "dflow_router listening on 127.0.0.1:%u (%d backends = %d slots x %d "
-      "replicas, %d total shards, strategy=%s, epoch=%llu, pool=%d "
-      "conns/backend)\n",
+      "replicas, %d total shards, strategy=%s, epoch=%llu)\n",
       router.port(), router.num_backends(),
       router.num_backends() / info.router.replicas, info.router.replicas,
       info.num_shards, info.strategy.c_str(),
-      static_cast<unsigned long long>(info.fleet_epoch),
-      options.connections_per_backend);
+      static_cast<unsigned long long>(info.fleet_epoch));
   for (const net::RouterBackendStats& backend : info.router.backends) {
     std::printf("  backend %-21s node_id=%-12s shards=%d slot=%d replica=%d\n",
                 backend.address.c_str(), backend.node_id.c_str(),

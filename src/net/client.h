@@ -131,10 +131,8 @@ class Client {
   bool SendInfoRequest();
   bool SendGoodbye();
 
-  // --- Raw-frame layer. The router's backend pool is built on these: it
-  // forwards frames wholesale (after patching the correlation id in the
-  // payload) without decoding message bodies, so a routing hop costs O(1)
-  // per frame regardless of snapshot or source-binding size.
+  // --- Raw-frame layer: frames sent and read wholesale, without decoding
+  // message bodies. The typed calls above and below are built on these.
 
   // Sends one pre-encoded frame (or a run of concatenated frames) as-is;
   // false on transport failure.

@@ -87,8 +87,8 @@ struct LoopThread {
     LeaveAttention(conn.get());
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     conn->socket_.Close();
-    // Late answers from shard/backend threads (arriving through a
-    // still-held shared_ptr) must drop, not accumulate.
+    // Late answers from shard workers or another loop (arriving through
+    // a still-held shared_ptr) must drop, not accumulate.
     conn->outbox_.Close();
     if (conn->handlers_.on_close) conn->handlers_.on_close(conn.get());
     conns.erase(fd);

@@ -29,8 +29,9 @@ struct LoopThread;
 // Threading contract: every method below is loop-thread only (call them
 // from the Handlers callbacks, which the owning thread invokes) — EXCEPT
 // outbox(), whose Push/Begin/Finish side is any-thread (shard workers and
-// backend threads answer through it; its wake callback is the doorbell
-// that schedules a drain on the owning thread), and the const counters.
+// the router's other loop answer through it; its wake callback is the
+// doorbell that schedules a drain on the owning thread), and the const
+// counters.
 class EventConn : public std::enable_shared_from_this<EventConn> {
  public:
   // What a frame handler tells the loop to do next.

@@ -58,7 +58,7 @@ struct FrontDoorOptions {
 // close every conn" half of an owner's shutdown: buffered frames finish
 // dispatching, every in-flight answer lands in its outbox, the backlogs
 // flush, then the sockets close. What the owner quiesces afterwards (the
-// shards, the backend pool) is its own business.
+// shards, the backend connections) is its own business.
 class FrontDoor {
  public:
   // Per-connection session state (EventConn::user). Byte counts come from

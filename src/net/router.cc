@@ -14,10 +14,17 @@ namespace dflow::net {
 
 namespace {
 
-// Recv ceiling during the connect-time Info handshake only; steady-state
-// backend reads block forever (responses can legitimately be minutes away
-// behind a deep queue).
+// Recv ceiling of the dialer's blocking Info handshake, so a wedged
+// backend cannot pin the dialer (and every other backend's redial) for
+// longer. Steady-state backend reads have no deadline: they run on the
+// backend loop, and answers can legitimately be minutes away behind a
+// deep queue.
 constexpr int kHandshakeRecvTimeoutMs = 5000;
+
+// Unsent bytes a backend conn's outbox may hold before front-door conns
+// routing to it stall. Far above what a healthy backend ever has queued,
+// and it bounds the router's buffering of a backend that stopped reading.
+constexpr size_t kBackendBacklogCapBytes = 256 * 1024;
 
 // Fixed payload offsets the router peeks/patches without decoding:
 //   Submit:        request_id u64 | seed u64 | flags u32 | ...
@@ -47,10 +54,10 @@ constexpr int kMaxFailoverAttempts = 8;
 // delay.
 constexpr auto kHealthyConnectionUptime = std::chrono::seconds(1);
 
-// Deadline of one fleet STATS poll. The request shares the pooled stream
-// with forwarded submits, so a backend parked on a full shard queue delays
-// its answer — after this long the poll replies with a synthesized entry
-// for every backend still silent.
+// Deadline of one fleet STATS poll. The request shares the backend's
+// stream with forwarded submits, so a backend parked on a full shard
+// queue delays its answer — after this long the poll replies with a
+// synthesized entry for every backend still silent.
 constexpr auto kStatsPollTimeout = std::chrono::milliseconds(1000);
 
 std::string AddressText(const BackendAddress& address) {
@@ -102,7 +109,11 @@ Router::Router(RouterOptions options)
       journal_(options_.events,
                options_.node_id.empty() ? "router" : options_.node_id),
       health_(options_.health, MakeHealthSources(), &journal_),
-      front_(options_, "router", this, &journal_, &metrics_) {
+      front_(options_, "router", this, &journal_, &metrics_),
+      // One thread carries every backend socket: it only moves bytes, and
+      // a single loop keeps the router's thread count fleet-independent.
+      backend_loop_(EventLoop::Options{/*num_threads=*/1,
+                                       options_.send_timeout_ms}) {
   // Counters and gauges are callbacks over counters the router maintains
   // anyway, so registering them costs the relay path nothing. Per-backend
   // families are registered in Start(), once the fleet is known.
@@ -150,33 +161,20 @@ bool Router::Start(std::string* error) {
     return false;
   }
   num_slots_ = static_cast<int>(options_.backends.size()) / replicas_;
-  const int pool = std::max(1, options_.connections_per_backend);
   backends_.reserve(options_.backends.size());
   for (const BackendAddress& address : options_.backends) {
     auto backend = std::make_unique<Backend>();
     backend->address = address;
-    backend->slot = static_cast<int>(backends_.size()) / replicas_;
-    backend->replica = static_cast<int>(backends_.size()) % replicas_;
+    backend->index = static_cast<int>(backends_.size());
+    backend->slot = backend->index / replicas_;
+    backend->replica = backend->index % replicas_;
+    backend->backoff_ms = options_.backoff_initial_ms;
     backends_.push_back(std::move(backend));
   }
-  for (size_t b = 0; b < backends_.size(); ++b) {
-    Backend* backend = backends_[b].get();
-    for (int c = 0; c < pool; ++c) {
-      auto conn = std::make_unique<BackendConn>();
-      conn->backend_index = static_cast<int>(b);
-      conn->conn_index = c;
-      BackendConn* raw = conn.get();
-      backend->conns.push_back(std::move(conn));
-      raw->thread = std::thread([this, backend, raw] {
-        BackendLoop(backend, raw);
-      });
-    }
-  }
   // Per-backend metric families, one labeled series per backend. The
-  // Backend objects (and their conns vectors) are append-only from here,
-  // so the raw pointers the callbacks capture stay valid for the router's
-  // lifetime. Family-outer loops keep each family's series contiguous in
-  // the text exposition.
+  // Backend objects are fixed from here, so the raw pointers the callbacks
+  // capture stay valid for the router's lifetime. Family-outer loops keep
+  // each family's series contiguous in the text exposition.
   const auto backend_counter = [this](const char* name,
                                       std::atomic<int64_t> Backend::*member) {
     for (const std::unique_ptr<Backend>& backend : backends_) {
@@ -194,108 +192,49 @@ bool Router::Start(std::string* error) {
     Backend* raw = backend.get();
     metrics_.AddGauge(
         "dflow_backend_connected", {{"backend", AddressText(raw->address)}},
-        [raw] {
-          for (const std::unique_ptr<BackendConn>& conn : raw->conns) {
-            if (conn->ready.load(std::memory_order_acquire)) return 1.0;
-          }
-          return 0.0;
-        });
+        [raw] { return Connected(*raw) ? 1.0 : 0.0; });
   }
-  // Admit no client until the whole fleet answered its identity handshake:
-  // a router that starts half-connected would deterministically fail every
-  // seed hashing to the missing node.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.connect_timeout_s));
-  while (true) {
+  std::string failure;
+  if (backend_loop_.Start(&failure)) {
+    dialer_ = std::thread([this] { DialLoop(); });
+  }
+  // Admit no client until the whole fleet answered its identity handshake
+  // and joined (see AcceptIdentity): a router that starts half-connected
+  // would deterministically fail every seed hashing to the missing node.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             options_.connect_timeout_s));
+  while (failure.empty()) {
     const Backend* missing = nullptr;
     for (const std::unique_ptr<Backend>& backend : backends_) {
-      bool any = false;
-      for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-        any = any || conn->ready.load(std::memory_order_acquire);
+      std::string refusal;
+      {
+        std::lock_guard<std::mutex> lock(backend->info_mu);
+        refusal = backend->refusal;
       }
-      if (!any) {
-        missing = backend.get();
+      if (!refusal.empty()) {
+        failure = "backend " + AddressText(backend->address) + " " + refusal;
         break;
       }
+      if (missing == nullptr && !Connected(*backend)) missing = backend.get();
     }
-    if (missing == nullptr) break;
-    if (std::chrono::steady_clock::now() >= deadline) {
-      if (error != nullptr) {
-        *error = "backend " + AddressText(missing->address) +
-                 " unreachable within " +
-                 std::to_string(options_.connect_timeout_s) + "s";
-      }
-      Stop();
-      return false;
+    if (!failure.empty() || missing == nullptr) break;
+    if (Clock::now() >= deadline) {
+      failure = "backend " + AddressText(missing->address) +
+                " unreachable within " +
+                std::to_string(options_.connect_timeout_s) + "s";
+      break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  // All backends must serve the same strategy: routing by seed assumes any
-  // node would produce the same bytes for a request, which only holds for
-  // a homogeneous fleet. An AUTO fleet is homogeneous iff every backend
-  // also reports the same advisor fingerprint (same calibration, same
-  // candidates => identical per-request choices); AUTO backends with
-  // different calibrations would serve different bytes for the same seed.
-  // The v5 fleet-epoch stamp extends the same rule to whole deployments: a
-  // mixed-epoch replica set (half-upgraded, mixed calibration data, ...)
-  // refuses to start rather than serving divergent bytes — replication
-  // makes this existential, since replicas stand in for each other.
-  // (Re-handshakes enforce the same invariants later.)
-  for (const std::unique_ptr<Backend>& backend : backends_) {
-    std::string backend_strategy;
-    uint64_t backend_advisor = 0;
-    uint64_t backend_epoch = 0;
-    {
-      std::lock_guard<std::mutex> lock(backend->info_mu);
-      backend_strategy = backend->strategy;
-      backend_advisor = backend->advisor_fingerprint;
-      backend_epoch = backend->fleet_epoch;
-    }
-    bool mismatch = false;
-    {
-      std::lock_guard<std::mutex> lock(strategy_mu_);
-      if (!epoch_set_) {
-        fleet_epoch_ = backend_epoch;
-        epoch_set_ = true;
-      }
-      if (backend_epoch != fleet_epoch_) {
-        if (error != nullptr) {
-          *error = "backend " + AddressText(backend->address) +
-                   " reports fleet epoch " + std::to_string(backend_epoch) +
-                   " but the fleet runs epoch " + std::to_string(fleet_epoch_);
-        }
-        mismatch = true;
-      } else if (strategy_.empty()) {
-        strategy_ = backend_strategy;
-        advisor_fingerprint_ = backend_advisor;
-      } else if (backend_strategy != strategy_) {
-        if (error != nullptr) {
-          *error = "backend " + AddressText(backend->address) + " runs " +
-                   backend_strategy + " but the fleet runs " + strategy_;
-        }
-        mismatch = true;
-      } else if (backend_advisor != advisor_fingerprint_) {
-        if (error != nullptr) {
-          *error = "backend " + AddressText(backend->address) +
-                   " runs AUTO with a different calibration (advisor "
-                   "fingerprint mismatch)";
-        }
-        mismatch = true;
-      }
-    }
-    if (mismatch) {
-      Stop();
-      return false;
-    }
+  if (failure.empty() && front_.Start(&failure)) {
+    health_.Start();
+    return true;
   }
-  if (!front_.Start(error)) {
-    Stop();
-    return false;
-  }
-  health_.Start();
-  return true;
+  if (error != nullptr) *error = failure;
+  Stop();
+  return false;
 }
 
 void Router::Stop() {
@@ -305,29 +244,25 @@ void Router::Stop() {
   stopping_.store(true, std::memory_order_seq_cst);
   // 1. Stop accepting, then gracefully close every front-door conn. The
   // loop waits for each conn's in-flight tickets to be answered (the
-  // backend pool is still live, so forwarded submits complete) and flushes
+  // backend loop is still live, so forwarded submits complete) and flushes
   // the responses before the sockets close — this is the "every admitted
   // request answered" barrier.
   front_.Stop();
-  // 2. Only now retire the pool: nothing is owed to any client, so the
-  // backends get a best-effort Goodbye and the conn threads exit instead
-  // of reconnecting (stopping_ is visible under each send_mu).
-  backoff_cv_.notify_all();
+  // 2. Only now retire the backends: nothing is owed to any client.
+  // Stop the dialer first, so nothing is (re)attached from here on. The
+  // empty lock orders stopping_ before the dialer's next wait.
+  { std::lock_guard<std::mutex> lock(dial_mu_); }
+  dial_cv_.notify_all();
+  if (dialer_.joinable()) dialer_.join();
+  // 3. A best-effort Goodbye on every live backend conn; stopping the
+  // backend loop flushes it and closes the sockets.
   for (const std::unique_ptr<Backend>& backend : backends_) {
-    for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-      std::lock_guard<std::mutex> lock(conn->send_mu);
-      if (conn->client != nullptr) {
-        conn->client->SendGoodbye();
-        conn->client->Shutdown();
-      }
-    }
+    std::vector<uint8_t> goodbye;
+    EncodeGoodbye(&goodbye);
+    SendToBackend(backend.get(), std::move(goodbye));
   }
-  for (const std::unique_ptr<Backend>& backend : backends_) {
-    for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-      if (conn->thread.joinable()) conn->thread.join();
-    }
-  }
-  // 3. Retire the health plane last: the drain event closes the journal's
+  backend_loop_.Stop();
+  // 4. Retire the health plane last: the drain event closes the journal's
   // story for this process, then both JSONL sinks flush.
   health_.Stop();
   journal_.Emit(obs::EventKind::kDrain, obs::Severity::kInfo,
@@ -363,12 +298,7 @@ RouterStats Router::router_stats() const {
       entry.node_id = backend->node_id;
       entry.shards = backend->shards;
     }
-    for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-      if (conn->ready.load(std::memory_order_acquire)) {
-        entry.connected = 1;
-        break;
-      }
-    }
+    entry.connected = Connected(*backend) ? 1 : 0;
     entry.forwarded = backend->forwarded.load();
     entry.answered = backend->answered.load();
     entry.unavailable = backend->unavailable.load();
@@ -419,10 +349,10 @@ EventConn::FrameAction Router::HandleStats(EventConn* conn,
                                            const StatsRequest& request) {
   auto poll = std::make_shared<StatsPoll>();
   poll->request = request;
-  poll->deadline = std::chrono::steady_clock::now() + kStatsPollTimeout;
+  poll->deadline = Clock::now() + kStatsPollTimeout;
   poll->answers.resize(backends_.size());
   for (size_t i = 0; i < backends_.size(); ++i) {
-    // Registered before the send: the answer may beat the send's return.
+    // Registered before the push: the answer may beat the push's return.
     const uint64_t ticket = next_ticket_.fetch_add(1);
     poll->tickets.push_back(ticket);
     {
@@ -432,7 +362,7 @@ EventConn::FrameAction Router::HandleStats(EventConn* conn,
     }
     std::vector<uint8_t> out;
     EncodeStatsRequest(StatsRequest{ticket, poll->request.sections}, &out);
-    if (!SendToBackend(backends_[i].get(), out)) {
+    if (!SendToBackend(backends_[i].get(), std::move(out))) {
       std::lock_guard<std::mutex> lock(stats_mu_);
       if (stats_probes_.erase(ticket) != 0) --poll->outstanding;
     }
@@ -442,8 +372,7 @@ EventConn::FrameAction Router::HandleStats(EventConn* conn,
   const auto settle = [this, conn, poll] {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      if (poll->outstanding > 0 &&
-          std::chrono::steady_clock::now() < poll->deadline) {
+      if (poll->outstanding > 0 && Clock::now() < poll->deadline) {
         return false;
       }
       for (const uint64_t ticket : poll->tickets) stats_probes_.erase(ticket);
@@ -497,17 +426,16 @@ void Router::AnswerStats(EventConn* conn, StatsPoll* poll) {
   conn->outbox().Push(std::move(out));
 }
 
-bool Router::SendToBackend(Backend* backend,
-                           const std::vector<uint8_t>& frame) {
-  for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-    if (!conn->ready.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> lock(conn->send_mu);
-    if (conn->ready.load(std::memory_order_acquire) &&
-        conn->client != nullptr && conn->client->SendFrame(frame)) {
-      return true;
-    }
-  }
-  return false;
+bool Router::SendToBackend(Backend* backend, std::vector<uint8_t> frame) {
+  std::lock_guard<std::mutex> lock(backend->conn_mu);
+  if (backend->conn == nullptr) return false;
+  backend->conn->outbox().Push(std::move(frame));
+  return true;
+}
+
+bool Router::Connected(const Backend& backend) {
+  std::lock_guard<std::mutex> lock(backend.conn_mu);
+  return backend.conn != nullptr;
 }
 
 obs::HealthSources Router::MakeHealthSources() {
@@ -531,18 +459,34 @@ int64_t Router::CountSlotsDown() const {
   for (int slot = 0; slot < num_slots_; ++slot) {
     bool live = false;
     for (int r = 0; r < replicas_ && !live; ++r) {
-      const Backend* backend =
-          backends_[static_cast<size_t>(slot * replicas_ + r)].get();
-      for (const std::unique_ptr<BackendConn>& conn : backend->conns) {
-        if (conn->ready.load(std::memory_order_acquire)) {
-          live = true;
-          break;
-        }
-      }
+      live = Connected(*backends_[static_cast<size_t>(slot * replicas_ + r)]);
     }
     if (!live) ++down;
   }
   return down;
+}
+
+int Router::SlotFor(uint64_t seed) const {
+  // The same hash the FlowServer uses for shard placement, over the slot
+  // count: slot choice is a pure function of the seed, so any fleet size
+  // serves byte-identical results — and within a slot every replica serves
+  // the same bytes, so replica choice is free.
+  return runtime::FlowServer::ShardFor(seed, num_slots_);
+}
+
+bool Router::Backlogged(int slot) const {
+  // The slot's primary is where ForwardToSlot sends: its lowest-index
+  // connected replica. A slot with none is not backlogged — its submits
+  // fail fast with BACKEND_UNAVAILABLE instead.
+  for (int r = 0; r < replicas_; ++r) {
+    const Backend& backend =
+        *backends_[static_cast<size_t>(slot * replicas_ + r)];
+    std::lock_guard<std::mutex> lock(backend.conn_mu);
+    if (backend.conn != nullptr) {
+      return backend.conn->outbox().QueuedBytes() > kBackendBacklogCapBytes;
+    }
+  }
+  return false;
 }
 
 EventConn::FrameAction Router::HandleBatchSubmit(
@@ -554,23 +498,36 @@ EventConn::FrameAction Router::HandleBatchSubmit(
   // the ordinary forward path, so ticket translation, failover replay, and
   // divergence sampling hold per item by construction. This is the one
   // tier that pays a decode on the batch path; the per-item forwards are
-  // still the O(1) fixed-offset relay.
-  for (size_t i = 0; i < request.items.size(); ++i) {
-    SubmitRequest item;
-    item.request_id = request.request_id_base + i;
-    item.seed = request.items[i].seed;
-    item.blocking = request.blocking;
-    item.want_snapshot = request.want_snapshot;
-    item.strategy = request.strategy;
-    item.sources = std::move(request.items[i].sources);
-    std::vector<uint8_t> bytes;
-    EncodeSubmit(item, &bytes);
-    Frame singleton;
-    singleton.type = static_cast<uint8_t>(MsgType::kSubmit);
-    singleton.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
-    HandleSubmit(conn, session, singleton);
-  }
-  return EventConn::FrameAction::kContinue;
+  // still the O(1) fixed-offset relay. An item whose backend is backlogged
+  // stalls the conn; the retry resumes from that item, so the items keep
+  // their order.
+  const auto forward_from = [this, conn, session](BatchSubmitRequest& batch,
+                                                  size_t& next) {
+    for (; next < batch.items.size(); ++next) {
+      if (Backlogged(SlotFor(batch.items[next].seed))) return false;
+      SubmitRequest item;
+      item.request_id = batch.request_id_base + next;
+      item.seed = batch.items[next].seed;
+      item.blocking = batch.blocking;
+      item.want_snapshot = batch.want_snapshot;
+      item.strategy = batch.strategy;
+      item.sources = std::move(batch.items[next].sources);
+      std::vector<uint8_t> bytes;
+      EncodeSubmit(item, &bytes);
+      Frame singleton;
+      singleton.type = static_cast<uint8_t>(MsgType::kSubmit);
+      singleton.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
+      RouteSubmit(conn, session, singleton);
+    }
+    return true;
+  };
+  size_t next = 0;
+  if (forward_from(request, next)) return EventConn::FrameAction::kContinue;
+  conn->DeferRetry(
+      [forward_from, request = std::move(request), next]() mutable {
+        return forward_from(request, next);
+      });
+  return EventConn::FrameAction::kStall;
 }
 
 EventConn::FrameAction Router::HandleSubmit(
@@ -586,13 +543,25 @@ EventConn::FrameAction Router::HandleSubmit(
               "short submit payload");
     return EventConn::FrameAction::kContinue;
   }
+  const int slot = SlotFor(ReadLe64(frame.payload.data() + 8));
+  const auto forward = [this, conn, session, slot](Frame& submit) {
+    if (Backlogged(slot)) return false;
+    RouteSubmit(conn, session, submit);
+    return true;
+  };
+  if (forward(frame)) return EventConn::FrameAction::kContinue;
+  conn->DeferRetry([forward, frame = std::move(frame)]() mutable {
+    return forward(frame);
+  });
+  return EventConn::FrameAction::kStall;
+}
+
+void Router::RouteSubmit(EventConn* conn,
+                         const std::shared_ptr<Session>& session,
+                         Frame& frame) {
   const uint64_t request_id = ReadLe64(frame.payload.data());
   const uint64_t seed = ReadLe64(frame.payload.data() + 8);
-  // The same hash the FlowServer uses for shard placement, over the slot
-  // count: slot choice is a pure function of the seed, so any fleet size
-  // serves byte-identical results — and within a slot every replica serves
-  // the same bytes, so replica choice is free.
-  const int slot = runtime::FlowServer::ShardFor(seed, num_slots_);
+  const int slot = SlotFor(seed);
   // Trace decision at the fleet's entry point: a client-set trace flag is
   // always honored, otherwise the router's own deterministic sample
   // applies. Either way the forwarded frame carries the v4 trace extension
@@ -658,132 +627,73 @@ EventConn::FrameAction Router::HandleSubmit(
       std::make_shared<const std::vector<uint8_t>>(std::move(forward));
   pending.check_id = check_id;
   conn->outbox().BeginRequest();
-  int served = -1;
-  switch (ForwardToSlot(slot, ticket, &pending, &served)) {
-    case ForwardOutcome::kForwarded:
-      session->accepted.fetch_add(1, std::memory_order_relaxed);
-      requests_routed_.fetch_add(1, std::memory_order_relaxed);
-      backends_[static_cast<size_t>(served)]->forwarded.fetch_add(
-          1, std::memory_order_relaxed);
-      if (cross_check) {
-        LaunchShadow(slot, served, check_id, request_id, start_ns,
-                     std::move(shadow_frame));
-      }
-      break;
-    case ForwardOutcome::kAnsweredElsewhere:
-      if (cross_check) {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        checks_.erase(check_id);
-      }
-      break;  // a death sweep answered (and decremented) already
-    case ForwardOutcome::kUnavailable: {
-      if (cross_check) {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        checks_.erase(check_id);
-      }
-      for (int r = 0; r < replicas_; ++r) {
-        backends_[static_cast<size_t>(slot * replicas_ + r)]
-            ->unavailable.fetch_add(1, std::memory_order_relaxed);
-      }
-      unavailable_total_.fetch_add(1, std::memory_order_relaxed);
-      // A refused-but-traced request still finishes its trace: fast-fail
-      // storms are exactly what the slow log and JSONL sink investigate.
-      if (trace != nullptr) {
-        recorder_.Finish(trace, obs::MonotonicNs() - start_ns);
-      }
-      const std::string what =
-          replicas_ > 1
-              ? "slot " + std::to_string(slot) + ": all " +
-                    std::to_string(replicas_) + " replicas disconnected"
-              : "backend " +
-                    AddressText(
-                        backends_[static_cast<size_t>(slot)]->address) +
-                    " disconnected";
-      SendError(conn, request_id, WireError::kBackendUnavailable, what);
-      conn->outbox().FinishRequest();
-      break;
+  const int served = ForwardToSlot(slot, ticket, &pending);
+  if (served >= 0) {
+    session->accepted.fetch_add(1, std::memory_order_relaxed);
+    requests_routed_.fetch_add(1, std::memory_order_relaxed);
+    backends_[static_cast<size_t>(served)]->forwarded.fetch_add(
+        1, std::memory_order_relaxed);
+    if (cross_check) {
+      LaunchShadow(slot, served, check_id, request_id, start_ns,
+                   std::move(shadow_frame));
     }
+    return;
   }
-  return EventConn::FrameAction::kContinue;
+  if (cross_check) {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    checks_.erase(check_id);
+  }
+  for (int r = 0; r < replicas_; ++r) {
+    backends_[static_cast<size_t>(slot * replicas_ + r)]
+        ->unavailable.fetch_add(1, std::memory_order_relaxed);
+  }
+  unavailable_total_.fetch_add(1, std::memory_order_relaxed);
+  // A refused-but-traced request still finishes its trace: fast-fail
+  // storms are exactly what the slow log and JSONL sink investigate.
+  if (trace != nullptr) {
+    recorder_.Finish(trace, obs::MonotonicNs() - start_ns);
+  }
+  const std::string what =
+      replicas_ > 1
+          ? "slot " + std::to_string(slot) + ": all " +
+                std::to_string(replicas_) + " replicas disconnected"
+          : "backend " +
+                AddressText(backends_[static_cast<size_t>(slot)]->address) +
+                " disconnected";
+  SendError(conn, request_id, WireError::kBackendUnavailable, what);
+  conn->outbox().FinishRequest();
 }
 
-Router::ForwardOutcome Router::Forward(Backend* backend, uint64_t ticket,
-                                       Pending* pending) {
-  const int pool = static_cast<int>(backend->conns.size());
-  const uint32_t start = backend->rr.fetch_add(1, std::memory_order_relaxed);
-  for (int k = 0; k < pool; ++k) {
-    BackendConn* conn =
-        backend->conns[(start + static_cast<uint32_t>(k)) %
-                       static_cast<uint32_t>(pool)]
-            .get();
-    if (!conn->ready.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> lock(conn->send_mu);
-    // Recheck under the lock: a conn that died since the relaxed peek has
-    // ready=false here (the conn thread clears it before taking send_mu).
-    if (!conn->ready.load(std::memory_order_acquire) ||
-        conn->client == nullptr) {
-      continue;
-    }
-    // Register before sending — the response can arrive on the conn
-    // thread the instant the bytes leave. Whoever erases the entry
-    // (response relay, death sweep, or the unwind below) owns answering.
-    // Send from our own reference to the shared frame bytes, NOT from the
-    // map node: a fast response (or death sweep) can move the Pending out
-    // of the map while SendFrame is still reading, and only pending_mu_
-    // guards the node — this conn's send_mu does not.
-    std::shared_ptr<const std::vector<uint8_t>> frame;
-    {
-      std::lock_guard<std::mutex> pending_lock(pending_mu_);
-      pending->backend_index = conn->backend_index;
-      pending->conn_index = conn->conn_index;
-      frame = pending->frame;
-      auto [it, inserted] = pending_.emplace(ticket, std::move(*pending));
-      if (!inserted) return ForwardOutcome::kAnsweredElsewhere;
-    }
-    // May block on a full TCP window — that is the end-to-end
-    // backpressure path (downstream queue full -> downstream reader
-    // parked -> our send stalls -> our session reader stalls -> the
-    // client's TCP stalls).
-    if (conn->client->SendFrame(*frame)) return ForwardOutcome::kForwarded;
-    // Not fully delivered, so no response can exist: reclaim the ticket
-    // (unless a sweep already took it over) and try the next conn.
-    {
-      std::lock_guard<std::mutex> pending_lock(pending_mu_);
-      const auto it = pending_.find(ticket);
-      if (it == pending_.end()) return ForwardOutcome::kAnsweredElsewhere;
-      if (it->second.backend_index != conn->backend_index ||
-          it->second.conn_index != conn->conn_index) {
-        // A death sweep re-issued it to a sibling while we unwound: the
-        // ticket is in flight there and that path owns answering it.
-        return ForwardOutcome::kForwarded;
-      }
-      *pending = std::move(it->second);
-      pending_.erase(it);
-    }
+bool Router::Forward(Backend* backend, uint64_t ticket, Pending* pending) {
+  std::lock_guard<std::mutex> lock(backend->conn_mu);
+  if (backend->conn == nullptr) return false;
+  // Register before pushing — the answer can arrive on the backend loop
+  // the instant the bytes leave. Under conn_mu, so this conn's on_close
+  // (which nulls the conn under the same lock before sweeping) either
+  // finds the ticket or ran before it and left the backend down.
+  std::vector<uint8_t> bytes = *pending->frame;
+  pending->backend_index = backend->index;
+  {
+    std::lock_guard<std::mutex> pending_lock(pending_mu_);
+    pending_.emplace(ticket, std::move(*pending));
   }
-  return ForwardOutcome::kUnavailable;
+  backend->conn->outbox().Push(std::move(bytes));
+  return true;
 }
 
-Router::ForwardOutcome Router::ForwardToSlot(int slot, uint64_t ticket,
-                                             Pending* pending, int* served) {
+int Router::ForwardToSlot(int slot, uint64_t ticket, Pending* pending) {
   // Index order makes the lowest live replica the slot's primary: every
   // session prefers the same member, so a healthy slot concentrates load
   // (and cache locality) instead of spraying, and failover preference is
   // deterministic.
   for (int r = 0; r < replicas_; ++r) {
     const int index = slot * replicas_ + r;
-    Backend* backend = backends_[static_cast<size_t>(index)].get();
-    switch (Forward(backend, ticket, pending)) {
-      case ForwardOutcome::kForwarded:
-        if (served != nullptr) *served = index;
-        return ForwardOutcome::kForwarded;
-      case ForwardOutcome::kAnsweredElsewhere:
-        return ForwardOutcome::kAnsweredElsewhere;
-      case ForwardOutcome::kUnavailable:
-        continue;  // dead replica; try the next sibling
+    if (Forward(backends_[static_cast<size_t>(index)].get(), ticket,
+                pending)) {
+      return index;
     }
   }
-  return ForwardOutcome::kUnavailable;
+  return -1;
 }
 
 void Router::LaunchShadow(int slot, int served, uint64_t shadow_ticket,
@@ -799,9 +709,8 @@ void Router::LaunchShadow(int slot, int served, uint64_t shadow_ticket,
   for (int r = 0; r < replicas_; ++r) {
     const int index = slot * replicas_ + r;
     if (index == served) continue;  // the cross-check needs a SECOND replica
-    Backend* backend = backends_[static_cast<size_t>(index)].get();
-    if (Forward(backend, shadow_ticket, &shadow) !=
-        ForwardOutcome::kUnavailable) {
+    if (Forward(backends_[static_cast<size_t>(index)].get(), shadow_ticket,
+                &shadow)) {
       divergence_checks_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -887,166 +796,197 @@ void Router::ResolveDivergence(uint64_t check_id, bool is_primary, bool ok,
   }
 }
 
-// --- Backend pool: one thread per pooled connection owns its whole
-// connect / handshake / read / reconnect lifecycle.
+// --- Backend connections: the dialer attaches them, the backend loop
+// runs them.
 
-void Router::BackendLoop(Backend* backend, BackendConn* conn) {
-  int backoff_ms = options_.backoff_initial_ms;
-  bool connected_before = false;
-  bool first_attempt = true;
+void Router::DialLoop() {
+  std::unique_lock<std::mutex> lock(dial_mu_);
   while (!stopping_.load(std::memory_order_acquire)) {
-    if (!first_attempt) {
-      // Exponential backoff between attempts, abandoned instantly on Stop.
-      std::unique_lock<std::mutex> lock(backoff_mu_);
-      backoff_cv_.wait_for(lock, std::chrono::milliseconds(backoff_ms), [&] {
-        return stopping_.load(std::memory_order_acquire);
-      });
-      if (stopping_.load(std::memory_order_acquire)) break;
+    // The first down backend whose backoff has passed, else sleep until
+    // the earliest one is due (or a drop or Stop wakes us).
+    const Clock::time_point now = Clock::now();
+    Backend* due = nullptr;
+    Clock::time_point wake = Clock::time_point::max();
+    for (const std::unique_ptr<Backend>& backend : backends_) {
+      if (!backend->down) continue;
+      if (backend->next_dial <= now) {
+        due = backend.get();
+        break;
+      }
+      wake = std::min(wake, backend->next_dial);
     }
-    first_attempt = false;
-    auto client = std::make_unique<Client>();
-    std::string error;
-    if (!client->Connect(backend->address.host, backend->address.port,
-                         &error) ||
-        !Handshake(backend, client.get())) {
-      backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
+    if (due == nullptr) {
+      if (wake == Clock::time_point::max()) {
+        dial_cv_.wait(lock);
+      } else {
+        dial_cv_.wait_until(lock, wake);
+      }
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(conn->send_mu);
-      // Stop() shuts down installed clients under this mutex; a client
-      // installed after that pass would never be unblocked, so check here.
-      if (stopping_.load(std::memory_order_acquire)) break;
-      conn->client = std::move(client);
+    lock.unlock();
+    const bool attached = Dial(due);
+    lock.lock();
+    if (!attached) {
+      due->backoff_ms = std::min(due->backoff_ms * 2, options_.backoff_max_ms);
+      due->next_dial =
+          Clock::now() + std::chrono::milliseconds(due->backoff_ms);
     }
-    conn->ready.store(true, std::memory_order_release);
-    if (connected_before) {
-      backend->reconnects.fetch_add(1, std::memory_order_relaxed);
-      journal_.Emit(obs::EventKind::kBackendReconnect, obs::Severity::kInfo,
-                    "backend=" + AddressText(backend->address) +
-                        " conn=" + std::to_string(conn->conn_index));
+  }
+}
+
+bool Router::Dial(Backend* backend) {
+  std::string error;
+  Socket socket = Socket::ConnectTcp(backend->address.host,
+                                     backend->address.port, &error);
+  if (!socket.valid()) return false;
+  // The Info identity handshake, blocking on this thread but bounded by
+  // the receive timeout.
+  socket.SetRecvTimeout(kHandshakeRecvTimeoutMs);
+  std::vector<uint8_t> request;
+  EncodeInfoRequest(&request);
+  if (!socket.SendAll(request.data(), request.size())) return false;
+  FrameAssembler assembler;
+  std::optional<ServerInfo> info;
+  // Tolerate a few stray frames, but a fresh connection should answer the
+  // info request first.
+  for (int frames = 0; frames < 8 && !info.has_value();) {
+    if (std::optional<Frame> frame = assembler.Next()) {
+      ++frames;
+      if (frame->type != static_cast<uint8_t>(MsgType::kInfo)) continue;
+      ServerInfo decoded;
+      if (!DecodeInfo(frame->payload, &decoded)) return false;
+      info = std::move(decoded);
+      continue;
     }
-    connected_before = true;
-    const auto up_since = std::chrono::steady_clock::now();
-    if (options_.verbose) {
-      std::fprintf(stderr, "[router] backend %s conn %d up\n",
-                   AddressText(backend->address).c_str(), conn->conn_index);
+    if (assembler.error() != WireError::kNone) return false;
+    uint8_t chunk[4096];
+    const ssize_t n = socket.Recv(chunk, sizeof(chunk));
+    if (n <= 0) return false;
+    assembler.Feed(chunk, static_cast<size_t>(n));
+  }
+  if (!info.has_value() || !AcceptIdentity(backend, *info)) return false;
+  bool reconnect = false;
+  {
+    // Marked up before the conn exists: its on_close, which marks it down
+    // again, can run the instant the loop registers it.
+    std::lock_guard<std::mutex> lock(dial_mu_);
+    backend->down = false;
+    backend->up_since = Clock::now();
+    reconnect = backend->connected_before;
+    backend->connected_before = true;
+  }
+  EventConn::Handlers handlers;
+  handlers.on_frame = [this, backend](EventConn*, Frame& frame) {
+    HandleBackendFrame(backend, frame);
+    return EventConn::FrameAction::kContinue;
+  };
+  handlers.on_protocol_error = [this](EventConn*, WireError) {
+    front_.CountProtocolError();
+  };
+  handlers.on_close = [this, backend](EventConn* conn) {
+    OnBackendClosed(backend, conn);
+  };
+  {
+    // Added and installed under conn_mu, so on_close finds it installed.
+    std::lock_guard<std::mutex> lock(backend->conn_mu);
+    backend->conn =
+        backend_loop_.Add(std::move(socket), std::move(handlers), nullptr);
+    if (backend->conn == nullptr) return false;  // the loop is stopping
+  }
+  if (reconnect) {
+    backend->reconnects.fetch_add(1, std::memory_order_relaxed);
+    journal_.Emit(obs::EventKind::kBackendReconnect, obs::Severity::kInfo,
+                  "backend=" + AddressText(backend->address));
+  }
+  if (options_.verbose) {
+    std::fprintf(stderr, "[router] backend %s up\n",
+                 AddressText(backend->address).c_str());
+  }
+  return true;
+}
+
+bool Router::AcceptIdentity(Backend* backend, const ServerInfo& info) {
+  // All backends must serve the same strategy: routing by seed assumes any
+  // node would produce the same bytes for a request, which only holds for
+  // a homogeneous fleet. An AUTO fleet is homogeneous iff every backend
+  // also reports the same advisor fingerprint (same calibration, same
+  // candidates => identical per-request choices). The v5 fleet-epoch stamp
+  // extends the rule to whole deployments: a mixed-epoch replica set
+  // (half-upgraded, mixed calibration data, ...) would let failover swap a
+  // request onto divergent bytes. The first handshake (backend 0's, as the
+  // dialer goes in index order) sets the fleet identity; every later one,
+  // re-handshakes included, must match it. A refused backend keeps being
+  // redialed with backoff while its seeds fail fast; Start() fails on it.
+  std::string refusal;
+  {
+    std::lock_guard<std::mutex> lock(strategy_mu_);
+    if (!identity_set_) {
+      identity_set_ = true;
+      fleet_epoch_ = info.fleet_epoch;
+      strategy_ = info.strategy;
+      advisor_fingerprint_ = info.advisor.fingerprint;
+    } else if (info.fleet_epoch != fleet_epoch_) {
+      refusal = "reports fleet epoch " + std::to_string(info.fleet_epoch) +
+                " but the fleet runs epoch " + std::to_string(fleet_epoch_);
+    } else if (info.strategy != strategy_) {
+      refusal = "runs " + info.strategy + " but the fleet runs " + strategy_;
+    } else if (info.advisor.fingerprint != advisor_fingerprint_) {
+      refusal =
+          "runs AUTO with a different calibration (advisor fingerprint "
+          "mismatch)";
     }
-    while (true) {
-      std::optional<Frame> frame = conn->client->ReadFrame();
-      if (!frame.has_value()) break;  // EOF, error, or Stop's Shutdown
-      HandleBackendFrame(backend, std::move(*frame));
-    }
+  }
+  if (!refusal.empty()) {
+    journal_.Emit(obs::EventKind::kEpochRefusal, obs::Severity::kWarn,
+                  "backend=" + AddressText(backend->address) + " " + refusal);
+  }
+  std::lock_guard<std::mutex> lock(backend->info_mu);
+  backend->refusal = refusal;
+  if (!refusal.empty()) return false;
+  backend->node_id = info.node_id;
+  backend->shards = info.num_shards;
+  backend->backend_kind = info.backend;
+  backend->queue_capacity = info.queue_capacity_per_shard;
+  return true;
+}
+
+void Router::OnBackendClosed(Backend* backend, EventConn* conn) {
+  {
+    std::lock_guard<std::mutex> lock(backend->conn_mu);
+    if (backend->conn.get() != conn) return;
+    // From here no ticket can be registered on this backend until the
+    // dialer attaches a new conn, which it does only after the sweep.
+    backend->conn = nullptr;
+  }
+  // A drop during graceful shutdown is the Goodbye exchange, not a
+  // death — only unexpected disconnects make the journal.
+  if (!stopping_.load(std::memory_order_acquire)) {
+    journal_.Emit(obs::EventKind::kBackendDeath, obs::Severity::kError,
+                  "backend=" + AddressText(backend->address));
+  }
+  FailPendingOn(backend->index);
+  if (options_.verbose) {
+    std::fprintf(stderr, "[router] backend %s down\n",
+                 AddressText(backend->address).c_str());
+  }
+  {
+    std::lock_guard<std::mutex> lock(dial_mu_);
     // Reset the reconnect backoff only once a connection PROVED healthy by
     // surviving a while: a backend that completes the handshake and then
     // dies right away (crash loop, bad deploy) keeps doubling toward the
     // cap instead of hot-looping at the initial delay.
-    if (std::chrono::steady_clock::now() - up_since >=
-        kHealthyConnectionUptime) {
-      backoff_ms = options_.backoff_initial_ms;
-    } else {
-      backoff_ms = std::min(backoff_ms * 2, options_.backoff_max_ms);
-    }
-    // Disconnected. Clear ready first, then take send_mu: any sender
-    // mid-SendAll finishes (failing), and no new ticket can be registered
-    // on this conn until the next handshake completes — so the sweep
-    // below is complete.
-    conn->ready.store(false, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(conn->send_mu);
-      conn->client->Close();
-    }
-    // A drop during graceful shutdown is the Goodbye exchange, not a
-    // death — only unexpected disconnects make the journal.
-    if (!stopping_.load(std::memory_order_acquire)) {
-      journal_.Emit(obs::EventKind::kBackendDeath, obs::Severity::kError,
-                    "backend=" + AddressText(backend->address) +
-                        " conn=" + std::to_string(conn->conn_index));
-    }
-    FailPendingOn(conn->backend_index, conn->conn_index);
-    if (options_.verbose) {
-      std::fprintf(stderr, "[router] backend %s conn %d down\n",
-                   AddressText(backend->address).c_str(), conn->conn_index);
-    }
+    const Clock::time_point now = Clock::now();
+    backend->backoff_ms =
+        now - backend->up_since >= kHealthyConnectionUptime
+            ? options_.backoff_initial_ms
+            : std::min(backend->backoff_ms * 2, options_.backoff_max_ms);
+    backend->next_dial = now + std::chrono::milliseconds(backend->backoff_ms);
+    backend->down = true;
   }
+  dial_cv_.notify_all();
 }
 
-bool Router::Handshake(Backend* backend, Client* client) {
-  client->SetRecvTimeout(kHandshakeRecvTimeoutMs);
-  if (!client->SendInfoRequest()) return false;
-  ServerInfo info;
-  bool got = false;
-  // Tolerate a few stray frames, but a fresh connection should answer the
-  // info request first.
-  for (int i = 0; i < 8 && !got; ++i) {
-    const std::optional<Frame> frame = client->ReadFrame();
-    if (!frame.has_value()) return false;
-    if (frame->type == static_cast<uint8_t>(MsgType::kInfo)) {
-      if (!DecodeInfo(frame->payload, &info)) return false;
-      got = true;
-    }
-  }
-  if (!got) return false;
-  // Re-handshakes must keep the fleet homogeneous: a backend restarted
-  // with a different strategy — or, on an AUTO fleet, a different advisor
-  // calibration — is refused (the conn keeps backing off, its seeds keep
-  // failing fast); re-attaching it would silently serve different bytes
-  // for those seeds. strategy_ is empty only during the initial Start()
-  // handshakes, which Start() itself cross-validates.
-  {
-    std::lock_guard<std::mutex> lock(strategy_mu_);
-    if (!strategy_.empty() &&
-        (info.strategy != strategy_ ||
-         info.advisor.fingerprint != advisor_fingerprint_)) {
-      if (options_.verbose) {
-        std::fprintf(
-            stderr,
-            "[router] backend %s refused: runs %s (advisor %016llx), fleet "
-            "runs %s (advisor %016llx)\n",
-            AddressText(backend->address).c_str(), info.strategy.c_str(),
-            static_cast<unsigned long long>(info.advisor.fingerprint),
-            strategy_.c_str(),
-            static_cast<unsigned long long>(advisor_fingerprint_));
-      }
-      journal_.Emit(obs::EventKind::kEpochRefusal, obs::Severity::kWarn,
-                    "backend=" + AddressText(backend->address) +
-                        " runs=" + info.strategy + " fleet=" + strategy_);
-      return false;
-    }
-    // Same rule for the v5 fleet-epoch stamp: a backend restarted under a
-    // different deployment generation is refused — with replicas standing
-    // in for each other, re-attaching it would let failover silently swap
-    // a request onto divergent bytes.
-    if (epoch_set_ && info.fleet_epoch != fleet_epoch_) {
-      if (options_.verbose) {
-        std::fprintf(
-            stderr,
-            "[router] backend %s refused: fleet epoch %llu, fleet runs "
-            "%llu\n",
-            AddressText(backend->address).c_str(),
-            static_cast<unsigned long long>(info.fleet_epoch),
-            static_cast<unsigned long long>(fleet_epoch_));
-      }
-      journal_.Emit(obs::EventKind::kEpochRefusal, obs::Severity::kWarn,
-                    "backend=" + AddressText(backend->address) +
-                        " epoch=" + std::to_string(info.fleet_epoch) +
-                        " fleet=" + std::to_string(fleet_epoch_));
-      return false;
-    }
-  }
-  client->SetRecvTimeout(0);
-  std::lock_guard<std::mutex> lock(backend->info_mu);
-  backend->node_id = info.node_id;
-  backend->strategy = info.strategy;
-  backend->shards = info.num_shards;
-  backend->backend_kind = info.backend;
-  backend->queue_capacity = info.queue_capacity_per_shard;
-  backend->advisor_fingerprint = info.advisor.fingerprint;
-  backend->fleet_epoch = info.fleet_epoch;
-  return true;
-}
-
-void Router::HandleBackendFrame(Backend* backend, Frame frame) {
+void Router::HandleBackendFrame(Backend* backend, Frame& frame) {
   const MsgType type = static_cast<MsgType>(frame.type);
   if (type == MsgType::kInfo || type == MsgType::kGoodbyeAck) return;
   if (type == MsgType::kStats) {
@@ -1141,21 +1081,20 @@ void Router::HandleBackendFrame(Backend* backend, Frame frame) {
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + frame.payload.size());
   EncodeRawFrame(frame.type, frame.payload, &out);
-  // Any-thread outbox surface: Push + Finish from this backend thread; the
-  // wake doorbell schedules the flush on the loop thread that owns the
-  // socket. Push before Finish, so a graceful close seeing in-flight zero
-  // finds every answer already in the outbox.
+  // Any-thread outbox surface: Push + Finish from the backend loop; the
+  // wake doorbell schedules the flush on the front loop thread that owns
+  // the socket. Push before Finish, so a graceful close seeing in-flight
+  // zero finds every answer already in the outbox.
   pending.conn->outbox().Push(std::move(out));
   pending.conn->outbox().FinishRequest();
 }
 
-void Router::FailPendingOn(int backend_index, int conn_index) {
+void Router::FailPendingOn(int backend_index) {
   std::vector<std::pair<uint64_t, Pending>> victims;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.backend_index == backend_index &&
-          it->second.conn_index == conn_index) {
+      if (it->second.backend_index == backend_index) {
         victims.emplace_back(it->first, std::move(it->second));
         it = pending_.erase(it);
       } else {
@@ -1168,6 +1107,13 @@ void Router::FailPendingOn(int backend_index, int conn_index) {
   const int slot = backend->slot;
   const std::string message =
       "backend " + AddressText(backend->address) + " connection lost";
+  // A victim's divergence check settles with no verdict.
+  const auto abandon_check = [this](uint64_t check_id) {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (checks_.erase(check_id) > 0) {
+      divergence_incomplete_.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
   int failed_over = 0;
   int unavailable = 0;
   for (auto& [ticket, pending] : victims) {
@@ -1175,14 +1121,7 @@ void Router::FailPendingOn(int backend_index, int conn_index) {
     // sample, and re-running it against a THIRD party would not audit the
     // pair it started on.
     if (pending.shadow) {
-      bool had_check;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        had_check = checks_.erase(pending.check_id) > 0;
-      }
-      if (had_check) {
-        divergence_incomplete_.fetch_add(1, std::memory_order_relaxed);
-      }
+      abandon_check(pending.check_id);
       continue;
     }
     // Transparent failover: replay the retained frame — same ticket, same
@@ -1193,33 +1132,16 @@ void Router::FailPendingOn(int backend_index, int conn_index) {
     // delivered is simply recomputed.
     if (pending.attempts < kMaxFailoverAttempts) {
       ++pending.attempts;
-      const ForwardOutcome outcome =
-          ForwardToSlot(slot, ticket, &pending, nullptr);
-      if (outcome != ForwardOutcome::kUnavailable) {
+      if (ForwardToSlot(slot, ticket, &pending) >= 0) {
         backend->failovers.fetch_add(1, std::memory_order_relaxed);
         failovers_total_.fetch_add(1, std::memory_order_relaxed);
         ++failed_over;
-        if (options_.verbose) {
-          std::fprintf(stderr,
-                       "[router] ticket %llu failed over off %s\n",
-                       static_cast<unsigned long long>(ticket),
-                       AddressText(backend->address).c_str());
-        }
         continue;
       }
     }
     // Whole slot down (or a flapping fleet exhausted the attempt cap):
     // answer with the typed error, exactly the pre-replication semantics.
-    if (pending.check_id != 0) {
-      bool had_check;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        had_check = checks_.erase(pending.check_id) > 0;
-      }
-      if (had_check) {
-        divergence_incomplete_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    if (pending.check_id != 0) abandon_check(pending.check_id);
     const uint64_t now_ns = obs::MonotonicNs();
     backend->unavailable.fetch_add(1, std::memory_order_relaxed);
     unavailable_total_.fetch_add(1, std::memory_order_relaxed);

@@ -13,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/client.h"
 #include "net/event_loop.h"
 #include "net/front_door.h"
 #include "net/wire_protocol.h"
@@ -65,11 +64,6 @@ struct RouterOptions : FrontDoorOptions {
   // with). Off, the mismatch only feeds dflow_replica_divergence_total and
   // the RouterStats counters — what the tests use.
   bool abort_on_divergence = false;
-  // Wire connections kept to each backend. 1 gives strict fan-in (all
-  // sessions share one stream per backend, so one full downstream queue
-  // stalls everything routed there, exactly like in-process Submit); more
-  // connections let unrelated sessions bypass a stalled stream.
-  int connections_per_backend = 1;
   // Start() fails unless every backend completed its Info handshake within
   // this window (connection attempts retry with backoff inside it).
   double connect_timeout_s = 10.0;
@@ -100,7 +94,7 @@ struct RouterOptions : FrontDoorOptions {
 
 // The multi-node routing tier: a standalone ingress process that speaks
 // the wire protocol to clients on the front and fans every submit out to
-// N downstream dflow_serve instances over pooled net::Client connections.
+// N downstream dflow_serve instances, one connection per backend.
 //
 // Routing is the same seed hash the FlowServer uses internally
 // (ShardFor(seed, num_backends)), so placement is stateless and results
@@ -113,19 +107,26 @@ struct RouterOptions : FrontDoorOptions {
 // the payload, so the router peeks them, rewrites the correlation id to a
 // router-issued ticket, and relays the frame wholesale; the response path
 // patches the client's original id back in. Ticket state lives in one map
-// (ticket -> session + original id + backend connection), and whoever
-// erases an entry — response relay, backend-death sweep, or a failed
-// forward unwinding — owns answering it, so every admitted request is
-// answered exactly once.
+// (ticket -> session + original id + backend), and whoever erases an
+// entry — the response relay or a backend-death sweep — owns answering
+// it, so every admitted request is answered exactly once.
+//
+// Threads: the front door's event loop owns the client sockets; a second,
+// router-owned event loop with one thread owns the backend sockets, so no
+// socket call ever blocks either loop. A forward (or a STATS fan-out) is a
+// Push into the backend conn's outbox; backend answers arrive on that
+// conn's frame handler and are pushed onto the client conn's outbox. One
+// dialer thread serves the whole fleet: it connects, runs the INFO
+// identity handshake, hands the socket to the backend loop, and redials
+// dropped backends with exponential backoff.
 //
 // Backpressure is end to end: a blocking submit that lands on a full
-// downstream shard queue parks the *backend's* conn, TCP pushes the stall
-// back to the router's backend send, which parks the loop thread holding
-// that frame, and TCP pushes the stall on to the client. No queue in the
-// chain is unbounded. (A parked backend send coarsens the stall to every
-// conn on that loop thread — deliberate: a full downstream queue is a
-// fleet-wide condition, and the alternative — buffering unsent forwards —
-// would unbound the very queue the stall exists to bound.)
+// downstream shard queue pauses the backend's reads, TCP fills the
+// router's backend socket, the backend conn's outbox grows, and once that
+// backlog passes a fixed cap the client conn routing to it stalls (kStall:
+// its reads pause and the stalled frame is retried on loop ticks), so TCP
+// pushes the stall on to the client. No queue in the chain is unbounded,
+// and conns routing to other backends keep flowing.
 //
 // Failure semantics: when a backend connection drops, every unanswered
 // in-flight ticket on it is transparently re-issued to a live replica of
@@ -134,20 +135,20 @@ struct RouterOptions : FrontDoorOptions {
 // byte-identical, and at-most-one pending entry per ticket keeps the
 // answer exactly-once), and new submits prefer the slot's lowest-index
 // live replica. Only when a slot has NO live replica do its tickets and
-// new submits fail fast with a typed BACKEND_UNAVAILABLE error, while a
-// per-connection thread reconnects with exponential backoff (re-running
-// the Info identity handshake); seeds hashing to healthy slots are
-// unaffected. The router never re-routes a seed outside its replica slot —
-// that would silently break the determinism contract; within a slot every
-// member serves the same bytes, which the sampled divergence cross-check
-// (see RouterOptions) continuously audits.
+// new submits fail fast with a typed BACKEND_UNAVAILABLE error, while the
+// dialer reconnects with exponential backoff (re-running the Info
+// identity handshake); seeds hashing to healthy slots are unaffected. The
+// router never re-routes a seed outside its replica slot — that would
+// silently break the determinism contract; within a slot every member
+// serves the same bytes, which the sampled divergence cross-check (see
+// RouterOptions) continuously audits.
 //
 // Shutdown (Stop, also run by the destructor) answers every admitted
 // request before Goodbye: stop accepting, then gracefully close every
-// front-door conn — the event loop waits for each conn's in-flight
-// tickets to be answered (the backend pool is still live) and flushes the
-// responses — and only then send Goodbye to the backends and retire the
-// pool.
+// front-door conn — the front loop waits for each conn's in-flight
+// tickets to be answered (the backend loop is still live) and flushes the
+// responses — and only then stop the dialer, send Goodbye to the
+// backends, and stop the backend loop.
 class Router : private FrontDoor::Handler {
  public:
   explicit Router(RouterOptions options);
@@ -155,9 +156,9 @@ class Router : private FrontDoor::Handler {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Connects the backend pool (retrying within connect_timeout_s), runs
-  // the identity handshake against every backend, verifies they all serve
-  // the same strategy, then binds the front listener and starts accepting.
+  // Connects every backend (retrying within connect_timeout_s), runs the
+  // identity handshake against each, verifies they all serve the same
+  // strategy, then binds the front listener and starts accepting.
   // Returns false and fills *error on failure. Call at most once.
   bool Start(std::string* error);
 
@@ -185,37 +186,42 @@ class Router : private FrontDoor::Handler {
 
  private:
   using Session = FrontDoor::Session;
-
-  // One pooled wire connection to a backend. The conn thread owns the
-  // connect/handshake/read/reconnect lifecycle and is the only writer of
-  // `client`; senders use it under send_mu while `ready` is true.
-  struct BackendConn {
-    int backend_index = 0;
-    int conn_index = 0;
-    std::mutex send_mu;              // serializes sends; held to swap client
-    std::unique_ptr<Client> client;  // swapped only by the conn thread
-    std::atomic<bool> ready{false};  // handshake done, sends allowed
-    std::thread thread;
-  };
+  using Clock = std::chrono::steady_clock;
 
   struct Backend {
     BackendAddress address;
-    std::vector<std::unique_ptr<BackendConn>> conns;
-    std::atomic<uint32_t> rr{0};  // round-robin cursor over the pool
+    int index = 0;
     // Replica placement (fixed at Start): slot = index / replicas,
     // replica = index % replicas.
     int slot = 0;
     int replica = 0;
 
-    // Identity from the latest Info handshake, guarded by info_mu.
+    // The live connection on the backend loop; null while the backend is
+    // down. Forward registers a ticket and pushes its frame under conn_mu,
+    // and the conn's on_close nulls this under conn_mu before sweeping,
+    // so every ticket registered on a conn is either answered through it
+    // or swept after it died.
+    mutable std::mutex conn_mu;
+    std::shared_ptr<EventConn> conn;
+
+    // Identity from the latest Info handshake, guarded by info_mu;
+    // `refusal` says why the latest handshake was refused ("" if it was
+    // not).
     mutable std::mutex info_mu;
     std::string node_id;
-    std::string strategy;
     int32_t shards = 0;
     uint8_t backend_kind = 0;
     uint64_t queue_capacity = 0;
-    uint64_t advisor_fingerprint = 0;  // nonzero only on AUTO backends
-    uint64_t fleet_epoch = 0;
+    std::string refusal;
+
+    // Dialer state, guarded by the router's dial_mu_: whether the backend
+    // needs a (re)dial, when the next attempt is due, the current backoff,
+    // and when the live connection came up.
+    bool down = true;
+    bool connected_before = false;
+    Clock::time_point next_dial{};
+    Clock::time_point up_since{};
+    int backoff_ms = 0;
 
     std::atomic<int64_t> forwarded{0};
     std::atomic<int64_t> answered{0};
@@ -228,8 +234,7 @@ class Router : private FrontDoor::Handler {
   struct Pending {
     std::shared_ptr<EventConn> conn;  // null on divergence-shadow copies
     uint64_t request_id = 0;  // client-chosen id, restored on the way back
-    int backend_index = 0;
-    int conn_index = 0;  // which pool connection carried it (death sweep)
+    int backend_index = 0;    // which backend carries it (death sweep)
     // Forward timestamp: the wall-clock latency histogram and the
     // router.forward span measure from here.
     uint64_t start_ns = 0;
@@ -237,10 +242,7 @@ class Router : private FrontDoor::Handler {
     // The exact frame that was forwarded (ticket already patched in) —
     // what a backend-death sweep replays against a sibling replica. One
     // retained copy per in-flight request, bounded by the same end-to-end
-    // backpressure that bounds in-flight requests themselves. Shared (and
-    // immutable) because Forward sends from it after releasing
-    // pending_mu_, while a fast response can move this Pending out of the
-    // map concurrently — the sender's reference keeps the bytes pinned.
+    // backpressure that bounds in-flight requests themselves.
     std::shared_ptr<const std::vector<uint8_t>> frame;
     // Failover re-issues so far; capped so a flapping fleet cannot bounce
     // one ticket forever.
@@ -264,17 +266,14 @@ class Router : private FrontDoor::Handler {
     uint64_t shadow_fingerprint = 0;
   };
 
-  // How one forward attempt ended (see HandleSubmit).
-  enum class ForwardOutcome { kForwarded, kUnavailable, kAnsweredElsewhere };
-
   // One fleet STATS poll: a front-door STATS_REQUEST fanned out to every
-  // backend, each copy under its own router-issued ticket. Conn threads
-  // file answers by backend index as they arrive; the front-door conn's
-  // DeferRetry continuation replies once none is outstanding or the
-  // deadline passed. answers/outstanding are guarded by stats_mu_.
+  // backend, each copy under its own router-issued ticket. The backend
+  // loop files answers by backend index as they arrive; the front-door
+  // conn's DeferRetry continuation replies once none is outstanding or
+  // the deadline passed. answers/outstanding are guarded by stats_mu_.
   struct StatsPoll {
     StatsRequest request;  // the client's id and section mask
-    std::chrono::steady_clock::time_point deadline;
+    Clock::time_point deadline;
     std::vector<uint64_t> tickets;  // one per backend copy sent
     std::vector<std::optional<NodeStats>> answers;  // by backend index
     size_t outstanding = 0;
@@ -284,18 +283,20 @@ class Router : private FrontDoor::Handler {
     size_t backend_index = 0;
   };
 
-  // FrontDoor::Handler. Forwarding never stalls a front-door conn: it
-  // either succeeds (the blocking backend send IS the backpressure path)
-  // or fails fast with a typed error. Only a STATS poll returns kStall,
-  // while it waits for backend answers.
+  // FrontDoor::Handler. A submit whose slot's primary backend has more
+  // than a fixed backlog of unsent bytes stalls its front-door conn
+  // (kStall) until the backlog drains; otherwise forwarding finishes
+  // inline, with a typed error when the whole slot is down. A STATS poll
+  // also returns kStall, while it waits for backend answers.
   EventConn::FrameAction HandleSubmit(EventConn* conn,
                                       const std::shared_ptr<Session>& session,
                                       Frame& frame) override;
   // Unbundles a v7 BATCH_SUBMIT into per-item singleton submit frames fed
-  // through HandleSubmit (items hash to different slots, so the router is
-  // the one tier that cannot relay a batch wholesale). Item i forwards
-  // under request_id_base + i; every ticket/failover/divergence invariant
-  // is then the singleton path's by construction.
+  // through the singleton route (items hash to different slots, so the
+  // router is the one tier that cannot relay a batch wholesale). Item i
+  // forwards under request_id_base + i; every ticket/failover/divergence
+  // invariant is then the singleton path's by construction. A stall
+  // resumes from the item that stalled.
   EventConn::FrameAction HandleBatchSubmit(
       EventConn* conn, const std::shared_ptr<Session>& session,
       BatchSubmitRequest request) override;
@@ -304,14 +305,21 @@ class Router : private FrontDoor::Handler {
   // passed; the loop thread never waits.
   EventConn::FrameAction HandleStats(EventConn* conn,
                                      const StatsRequest& request) override;
+  // The slot a seed routes to, and whether that slot's primary backend
+  // has more unsent bytes queued than the backlog cap.
+  int SlotFor(uint64_t seed) const;
+  bool Backlogged(int slot) const;
+  // Forwards one submit frame (long enough to peek) to its slot, or
+  // answers BACKEND_UNAVAILABLE.
+  void RouteSubmit(EventConn* conn, const std::shared_ptr<Session>& session,
+                   Frame& frame);
   // One forward attempt against one backend: registers *pending under
-  // `ticket` (consuming it) and sends its frame. On kUnavailable the
-  // pending is handed back untouched so the caller can try a sibling.
-  ForwardOutcome Forward(Backend* backend, uint64_t ticket, Pending* pending);
+  // `ticket` (consuming it) and pushes its frame. False — with the pending
+  // handed back untouched — when the backend is down.
+  bool Forward(Backend* backend, uint64_t ticket, Pending* pending);
   // Tries every replica of `slot` in index order (lowest live index is the
-  // primary). On kForwarded, *served names the backend that took it.
-  ForwardOutcome ForwardToSlot(int slot, uint64_t ticket, Pending* pending,
-                               int* served);
+  // primary). Returns the backend that took it, or -1.
+  int ForwardToSlot(int slot, uint64_t ticket, Pending* pending);
   // Launches the sampled cross-check: sends a shadow copy of the frame
   // just forwarded to a live replica of `slot` other than `served`.
   void LaunchShadow(int slot, int served, uint64_t shadow_ticket,
@@ -321,28 +329,36 @@ class Router : private FrontDoor::Handler {
   // settles the check when both sides are in.
   void ResolveDivergence(uint64_t check_id, bool is_primary, bool ok,
                          uint64_t fingerprint);
-  // Backend-pool machinery, all on the per-connection thread.
-  void BackendLoop(Backend* backend, BackendConn* conn);
-  bool Handshake(Backend* backend, Client* client);
-  void HandleBackendFrame(Backend* backend, Frame frame);
-  // Sweeps every pending ticket carried by the given backend connection:
-  // client tickets are re-issued to a live sibling replica (transparent
-  // failover) or, when the whole slot is down, answered with a typed
+  // The dialer thread: (re)connects every backend that is down once its
+  // backoff has passed, until Stop.
+  void DialLoop();
+  // One connect + Info handshake + hand-off to the backend loop. False
+  // when the backend could not be attached.
+  bool Dial(Backend* backend);
+  // Validates and records the handshake identity; false refuses a backend
+  // that would break fleet homogeneity.
+  bool AcceptIdentity(Backend* backend, const ServerInfo& info);
+  // Backend conn handlers, on the backend loop thread.
+  void HandleBackendFrame(Backend* backend, Frame& frame);
+  void OnBackendClosed(Backend* backend, EventConn* conn);
+  // Sweeps every pending ticket carried by the given backend: client
+  // tickets are re-issued to a live sibling replica (transparent failover)
+  // or, when the whole slot is down, answered with a typed
   // BACKEND_UNAVAILABLE; divergence shadows are abandoned.
-  void FailPendingOn(int backend_index, int conn_index);
+  void FailPendingOn(int backend_index);
 
   // The reply once the poll settled: the router's own entry plus one per
   // backend, synthesized for a backend that did not answer in time.
   void AnswerStats(EventConn* conn, StatsPoll* poll);
-  // Sends `frame` on any ready pooled connection of `backend`; false when
-  // none is live.
-  bool SendToBackend(Backend* backend, const std::vector<uint8_t>& frame);
+  // Pushes `frame` onto the backend's live conn; false when it is down.
+  bool SendToBackend(Backend* backend, std::vector<uint8_t> frame);
+  static bool Connected(const Backend& backend);
   // Identity reported in Info and STATS: options_.node_id or
   // "router:<port>".
   std::string NodeId() const;
   obs::HealthSources MakeHealthSources();
-  // Live replica slots with zero ready connections (the critical-status
-  // topology input).
+  // Replica slots with no connected backend (the critical-status topology
+  // input).
   int64_t CountSlotsDown() const;
 
   const RouterOptions options_;
@@ -361,9 +377,11 @@ class Router : private FrontDoor::Handler {
   // path (submit forwarded -> result relayed): the cross-node counterpart
   // of the ingress's dflow_wall_latency_us.
   obs::Histogram* wall_latency_us_ = nullptr;
-  // Stopped by Stop() before the backend pool retires, because graceful
-  // closes wait for in-flight tickets the backends still owe answers to.
+  // Stopped by Stop() before the backend loop, because graceful closes
+  // wait for in-flight tickets the backends still owe answers to.
   FrontDoor front_;
+  // Owns every backend socket, on one thread.
+  EventLoop backend_loop_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::mutex stop_mu_;  // serializes Stop()
@@ -374,29 +392,21 @@ class Router : private FrontDoor::Handler {
   // the seed hash routes over (backends_.size() / replicas_).
   int replicas_ = 1;
   int num_slots_ = 0;
-  // The fleet-wide strategy: set once by Start() from the initial
-  // handshakes, then enforced by every re-handshake (a restarted backend
-  // serving a different strategy is refused — re-attaching it would
-  // silently break byte-identity). An AUTO fleet is compatible as long as
-  // every backend also reports the same advisor fingerprint: equal
-  // fingerprints mean identical per-request choices, so byte-identity
-  // holds exactly as it does for a fixed-strategy fleet. Guarded by
-  // strategy_mu_ because conn threads revalidate against it while Start()
-  // may still be writing it.
+  // The fleet identity (strategy, AUTO advisor fingerprint, v5 fleet
+  // epoch), learned from the first handshake and enforced on every later
+  // one (see AcceptIdentity). identity_set_ discriminates "not yet
+  // learned" from the valid epoch 0. Guarded by strategy_mu_: the dialer
+  // writes it while Info readers read it.
   mutable std::mutex strategy_mu_;
+  bool identity_set_ = false;
   std::string strategy_;
   uint64_t advisor_fingerprint_ = 0;  // fleet-wide; 0 unless AUTO
-  // Fleet-epoch stamp (v5): set by Start() from the initial handshakes and
-  // enforced — alongside strategy/advisor — on every re-handshake, so a
-  // replica restarted under a different deployment generation is refused
-  // instead of silently serving different bytes. epoch_set_ discriminates
-  // "not yet learned" from the valid epoch 0.
   uint64_t fleet_epoch_ = 0;
-  bool epoch_set_ = false;
 
-  // Wakes conn threads out of their backoff sleep on Stop.
-  std::mutex backoff_mu_;
-  std::condition_variable backoff_cv_;
+  // The dialer: woken by a backend going down and by Stop.
+  std::mutex dial_mu_;
+  std::condition_variable dial_cv_;
+  std::thread dialer_;
 
   std::mutex pending_mu_;
   std::unordered_map<uint64_t, Pending> pending_;

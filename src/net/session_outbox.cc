@@ -10,6 +10,7 @@ void SessionOutbox::Push(std::vector<uint8_t> frame) {
     std::lock_guard<std::mutex> lock(out_mu_);
     if (out_closed_) return;  // session tearing down; drop
     if (!outbox_.empty()) ++write_stalls_;  // queued behind unsent frames
+    queued_bytes_ += frame.size();
     outbox_.push_back(std::move(frame));
     // A drain is already scheduled and has not begun: it will see this
     // frame, so the doorbell stays quiet.
@@ -45,6 +46,7 @@ SessionOutbox::DrainStatus SessionOutbox::TryDrain(const GatherSend& send) {
       // kComplete and teardown never wedges.
       outbox_.clear();
       write_offset_ = 0;
+      queued_bytes_ = 0;
     }
     if (outbox_.empty()) {
       return out_closed_ ? DrainStatus::kComplete : DrainStatus::kDrained;
@@ -67,6 +69,7 @@ SessionOutbox::DrainStatus SessionOutbox::TryDrain(const GatherSend& send) {
       case IoStatus::kOk: {
         bytes_written_ += static_cast<int64_t>(result.bytes);
         ++sends_;
+        queued_bytes_ -= result.bytes;
         size_t left = result.bytes;
         while (!outbox_.empty() &&
                outbox_.front().size() - write_offset_ <= left) {
@@ -101,6 +104,11 @@ void SessionOutbox::FinishRequest() {
 int64_t SessionOutbox::Inflight() const {
   std::lock_guard<std::mutex> lock(inflight_mu_);
   return inflight_;
+}
+
+size_t SessionOutbox::QueuedBytes() const {
+  std::lock_guard<std::mutex> lock(out_mu_);
+  return queued_bytes_;
 }
 
 SessionOutbox::Stats SessionOutbox::GetStats() const {

@@ -32,9 +32,8 @@ namespace dflow::net {
 // already pending, and TryDrain hands up to kMaxGather queued frames to a
 // single gathered send.
 //
-// Threading: Push/Begin/Finish/Close from any thread (the loop thread,
-// shard workers, backend conn threads); TryDrain from the owning loop
-// thread only.
+// Threading: Push/Begin/Finish/Close from any thread (the loop threads,
+// shard workers); TryDrain from the owning loop thread only.
 class SessionOutbox {
  public:
   // The most frames one TryDrain send gathers (well under IOV_MAX).
@@ -90,6 +89,11 @@ class SessionOutbox {
   void FinishRequest();
   int64_t Inflight() const;
 
+  // Bytes pushed but not yet handed to a successful send (the unsent tail
+  // of a frame cut mid-way included). The router reads its backend conns'
+  // backlog here to decide when a front conn must stall.
+  size_t QueuedBytes() const;
+
   // Write-side health counters for this session. inflight_hwm is the peak
   // Begin/Finish imbalance (how deep the session ever ran); bytes_written
   // counts bytes actually handed to a *successful* send; sends counts
@@ -115,6 +119,7 @@ class SessionOutbox {
   int64_t sends_ = 0;          // under out_mu_
   int64_t write_stalls_ = 0;   // under out_mu_
   size_t write_offset_ = 0;  // bytes of outbox_.front() already sent
+  size_t queued_bytes_ = 0;  // unsent bytes in outbox_, under out_mu_
   std::function<void()> wake_;  // under out_mu_ (copied out to invoke)
 
   mutable std::mutex inflight_mu_;

@@ -167,10 +167,6 @@ IoResult Socket::RecvSome(void* data, size_t size) {
   }
 }
 
-void Socket::ShutdownRead() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::ShutdownWrite() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }

@@ -11,8 +11,9 @@
 namespace dflow::net {
 
 // Thin RAII wrappers over POSIX TCP sockets — just enough transport for the
-// wire protocol: connect/accept, full-buffer sends, chunk receives, and the
-// shutdown() calls the server's drain protocol needs to unblock readers.
+// wire protocol: connect/accept, blocking full-buffer sends and chunk
+// receives for clients and handshakes, and the non-blocking transfers the
+// event loop runs on.
 // Deliberately not a general networking layer; IPv4 only ("localhost" is
 // accepted as an alias for 127.0.0.1).
 
@@ -51,17 +52,17 @@ class Socket {
   void SetSendTimeout(int timeout_ms);
 
   // Caps how long one Recv may block (SO_RCVTIMEO); a timed-out Recv
-  // returns <0. 0 restores "block forever". The router bounds its backend
-  // Info handshake with this, so a wedged backend cannot pin a connection
-  // thread forever.
+  // returns <0. 0 restores "block forever". The router's dialer bounds its
+  // backend Info handshake with this, so a wedged backend cannot stall the
+  // redial of every other backend for longer.
   void SetRecvTimeout(int timeout_ms);
 
   // Sends the whole buffer, retrying short writes and EINTR. Returns false
   // once the peer is gone (EPIPE/ECONNRESET/...) or a send timed out.
   bool SendAll(const void* data, size_t size);
 
-  // Receives up to `size` bytes: >0 bytes received, 0 orderly peer close
-  // (or a local ShutdownRead), <0 error.
+  // Receives up to `size` bytes: >0 bytes received, 0 orderly peer close,
+  // <0 error.
   ssize_t Recv(void* data, size_t size);
 
   // Switches the fd to O_NONBLOCK (the event-loop mode; SendAll/Recv above
@@ -80,10 +81,8 @@ class Socket {
   // kWouldBlock, an orderly peer close is kEof.
   IoResult RecvSome(void* data, size_t size);
 
-  // Half-close helpers. ShutdownRead unblocks a Recv() parked in the
-  // kernel — the server uses it to retire session readers during drain
-  // while their pending responses still flush out the write side.
-  void ShutdownRead();
+  // Half-close helpers; ShutdownBoth also unblocks a Recv() parked in the
+  // kernel.
   void ShutdownWrite();
   void ShutdownBoth();
 

@@ -18,7 +18,7 @@ class MetricsRegistry;
 // NOT a per-request fact (those are traces). The enum value doubles as the
 // on-wire kind byte in STATS health sections, so values are append-only.
 enum class EventKind : uint8_t {
-  kBackendDeath = 1,       // a pooled backend connection died
+  kBackendDeath = 1,       // a backend connection died
   kBackendReconnect = 2,   // a previously-dead backend came back
   kFailover = 3,           // orphaned in-flight work replayed on a sibling
   kDivergenceCheck = 4,    // a sampled replica cross-check completed clean

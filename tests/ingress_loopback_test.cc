@@ -471,9 +471,9 @@ TEST(IngressLoopbackTest, StopAnswersEveryAcceptedRequest) {
     submit.sources = requests[static_cast<size_t>(i)].sources;
     ASSERT_TRUE(client.SendSubmit(submit));
   }
-  // Wait until the session reader has admitted the whole burst (Stop's
-  // read-side shutdown would otherwise discard frames still in the socket
-  // buffer — admission, not transmission, is what obligates an answer).
+  // Wait until the loop has admitted the whole burst (Stop's graceful
+  // close stops reading, so frames still in the socket buffer would be
+  // discarded — admission, not transmission, is what obligates an answer).
   for (int spin = 0; spin < 10000; ++spin) {
     if (server.ingress_stats().requests_accepted == kCount) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

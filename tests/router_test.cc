@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -606,7 +608,7 @@ TEST(RouterTest, StopAnswersEveryAdmittedRequest) {
     ASSERT_TRUE(client.SendSubmit(submit));
   }
   // Admission (forwarding), not transmission, obligates an answer: wait
-  // until the router's session reader consumed the whole burst.
+  // until the router's loop consumed the whole burst.
   for (int spin = 0; spin < 10000; ++spin) {
     if (fleet->router->front_stats().requests_accepted ==
         static_cast<int64_t>(requests.size())) {
@@ -772,7 +774,9 @@ TEST(RouterTest, FrontStatsAndMetricsScrapeExposeTheRoutingTier) {
 // Kill() hard-shuts every proxied connection mid-stream, which is exactly
 // what a kill -9'd backend looks like to the router (no goodbye, no
 // drain). StallResponses() additionally swallows backend->router bytes, so
-// a test can pin a whole burst in the in-flight state before the kill.
+// a test can pin a whole burst in the in-flight state before the kill, and
+// StallRequests() stops reading router->backend bytes, so the router's
+// socket to the backend fills as if the backend stopped reading.
 class TcpProxy {
  public:
   TcpProxy(std::string target_host, uint16_t target_port)
@@ -797,6 +801,12 @@ class TcpProxy {
   // bytes the backend sends: late answers arrive right before fresh ones.
   void HoldResponses() { hold_responses_ = true; }
   void ReleaseResponses() { hold_responses_ = false; }
+
+  // While held, router -> backend bytes are left unread: the kernel
+  // buffers fill and TCP stalls the router's sends, exactly like a backend
+  // with a full window. ReleaseRequests() resumes pumping.
+  void StallRequests() { stall_requests_ = true; }
+  void ReleaseRequests() { stall_requests_ = false; }
 
   // Abrupt death. Idempotent.
   void Kill() {
@@ -847,6 +857,9 @@ class TcpProxy {
   void PumpLoop(Socket* from, Socket* to, bool is_response) {
     uint8_t buffer[4096];
     while (true) {
+      while (!is_response && stall_requests_ && !killed_) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       const ssize_t n = from->Recv(buffer, sizeof(buffer));
       if (n <= 0) break;
       if (is_response && stall_responses_) continue;  // swallow
@@ -870,6 +883,7 @@ class TcpProxy {
   std::atomic<bool> killed_{false};
   std::atomic<bool> stall_responses_{false};
   std::atomic<bool> hold_responses_{false};
+  std::atomic<bool> stall_requests_{false};
   std::vector<uint8_t> held_;  // response pump only (one proxied pair)
   std::mutex mu_;
   std::vector<std::shared_ptr<Pair>> pairs_;
@@ -1463,6 +1477,192 @@ TEST(RouterTest, StartRefusesRaggedReplicaGroups) {
   EXPECT_NE(error.find("replicas"), std::string::npos) << error;
   router.Stop();
   backend.Stop();
+}
+
+// A backend with a full TCP window stalls only the conns routed to it.
+// Backend 0 stops reading (the proxy leaves router->backend bytes unread);
+// on a router with ONE front loop thread, client A floods seeds hashing to
+// backend 0 until the router stops reading A. Client B's INFO and a submit
+// hashing to backend 1 must still be answered promptly, and once backend 0
+// reads again every one of A's requests is answered exactly once with the
+// bytes of direct execution.
+TEST(RouterTest, FullBackendWindowStallsOnlyTheConnsRoutedToIt) {
+  const gen::GeneratedSchema pattern = MakePattern(71);
+  const std::vector<runtime::FlowRequest> requests =
+      MakeWorkload(pattern, 64);
+  std::vector<const runtime::FlowRequest*> to_backend0;
+  const runtime::FlowRequest* to_backend1 = nullptr;
+  for (const runtime::FlowRequest& request : requests) {
+    if (runtime::FlowServer::ShardFor(request.seed, 2) == 0) {
+      to_backend0.push_back(&request);
+    } else {
+      to_backend1 = &request;
+    }
+  }
+  ASSERT_FALSE(to_backend0.empty());
+  ASSERT_NE(to_backend1, nullptr);
+
+  runtime::FlowServer reference(&pattern.schema, BackendOptions(1));
+  std::mutex mu;
+  std::map<uint64_t, WireOutcome> expected;
+  reference.SetResultCallback([&](int, const runtime::FlowRequest& request,
+                                  const core::InstanceResult& result,
+                                  const core::Strategy&) {
+    std::lock_guard<std::mutex> lock(mu);
+    expected.emplace(request.seed, FromInstanceResult(result));
+  });
+  for (const runtime::FlowRequest& request : requests) {
+    ASSERT_TRUE(reference.Submit(request));
+  }
+  reference.Drain();
+
+  Fleet fleet;
+  fleet.pattern = &pattern;
+  for (int b = 0; b < 2; ++b) {
+    // The flood repeats a few seeds; the cache keeps the catch-up short.
+    runtime::FlowServerOptions options = BackendOptions(1);
+    options.result_cache_capacity = 64;
+    fleet.backends.push_back(std::make_unique<IngressServer>(
+        &pattern.schema, options, IngressOptions{}));
+    std::string error;
+    ASSERT_TRUE(fleet.backends.back()->Start(&error)) << error;
+  }
+  TcpProxy proxy("127.0.0.1", fleet.backends[0]->port());
+  std::string error;
+  ASSERT_TRUE(proxy.Start(&error)) << error;
+  RouterOptions router_options;
+  router_options.event_threads = 1;
+  router_options.backends = {
+      BackendAddress{"127.0.0.1", proxy.port()},
+      BackendAddress{"127.0.0.1", fleet.backends[1]->port()}};
+  fleet.router = std::make_unique<Router>(router_options);
+  ASSERT_TRUE(fleet.router->Start(&error)) << error;
+  proxy.StallRequests();
+
+  Client flooder;
+  ASSERT_TRUE(flooder.Connect("127.0.0.1", fleet.router->port(), &error))
+      << error;
+  std::atomic<bool> stop_flood{false};
+  std::atomic<uint64_t> sent{0};
+  std::thread flood([&] {
+    for (uint64_t i = 0; !stop_flood.load(); ++i) {
+      const runtime::FlowRequest& request =
+          *to_backend0[i % to_backend0.size()];
+      SubmitRequest submit;
+      submit.request_id = i + 1;
+      submit.seed = request.seed;
+      submit.want_snapshot = true;
+      submit.sources = request.sources;
+      if (!flooder.SendSubmit(submit)) break;
+      sent.store(i + 1);
+    }
+  });
+  // The router stopped reading A once its admission count stops moving
+  // while A keeps sending.
+  using Clock = std::chrono::steady_clock;
+  bool stalled = false;
+  int64_t last_accepted = -1;
+  Clock::time_point last_change = Clock::now();
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(60);
+  while (Clock::now() < give_up) {
+    const int64_t accepted = fleet.router->front_stats().requests_accepted;
+    if (accepted != last_accepted) {
+      last_accepted = accepted;
+      last_change = Clock::now();
+    } else if (accepted > 0 &&
+               Clock::now() - last_change > std::chrono::milliseconds(300)) {
+      stalled = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(stalled);
+
+  // B's reads are bounded, so a router whose loop is parked fails here
+  // instead of hanging.
+  Client prober;
+  ASSERT_TRUE(prober.Connect("127.0.0.1", fleet.router->port(), &error))
+      << error;
+  prober.SetRecvTimeout(2000);
+  const Clock::time_point info_start = Clock::now();
+  const std::optional<ServerInfo> info = prober.Info();
+  const Clock::duration info_time = Clock::now() - info_start;
+  EXPECT_TRUE(info.has_value());
+  EXPECT_LT(info_time, std::chrono::milliseconds(100));
+  SubmitRequest healthy;
+  healthy.request_id = 7;
+  healthy.seed = to_backend1->seed;
+  healthy.want_snapshot = true;
+  healthy.sources = to_backend1->sources;
+  const Clock::time_point submit_start = Clock::now();
+  const std::optional<ServerMessage> reply = prober.Call(healthy);
+  const Clock::duration submit_time = Clock::now() - submit_start;
+  EXPECT_TRUE(reply.has_value() &&
+              reply->type == MsgType::kSubmitResult &&
+              FromWire(reply->result) == expected.at(healthy.seed));
+  EXPECT_LT(submit_time, std::chrono::milliseconds(100));
+
+  stop_flood = true;
+  proxy.ReleaseRequests();
+  flood.join();
+  const uint64_t flooded = sent.load();
+  ASSERT_GT(flooded, 0u);
+  flooder.SetRecvTimeout(30000);
+  std::vector<int> answers(flooded, 0);
+  for (uint64_t i = 0; i < flooded; ++i) {
+    const std::optional<ServerMessage> message = flooder.ReadMessage();
+    ASSERT_TRUE(message.has_value()) << "reply " << i << " never arrived";
+    ASSERT_EQ(message->type, MsgType::kSubmitResult);
+    const uint64_t id = message->result.request_id;
+    ASSERT_TRUE(id >= 1 && id <= flooded) << id;
+    ++answers[id - 1];
+    const uint64_t seed = to_backend0[(id - 1) % to_backend0.size()]->seed;
+    ASSERT_EQ(FromWire(message->result), expected.at(seed)) << id;
+  }
+  EXPECT_EQ(std::count(answers.begin(), answers.end(), 1),
+            static_cast<std::ptrdiff_t>(flooded));
+  EXPECT_TRUE(flooder.Goodbye());
+  EXPECT_TRUE(prober.Goodbye());
+}
+
+size_t CountThreads() {
+  size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+// The router's thread count does not depend on the fleet size: the
+// threads Start() adds for a 1-backend fleet and for a 4-backend fleet are
+// the same.
+TEST(RouterTest, ThreadCountDoesNotGrowWithTheFleet) {
+  const gen::GeneratedSchema pattern = MakePattern(73);
+  std::vector<size_t> added;
+  for (const int fleet_size : {1, 4}) {
+    std::vector<std::unique_ptr<IngressServer>> backends;
+    RouterOptions options;
+    options.event_threads = 1;
+    for (int b = 0; b < fleet_size; ++b) {
+      backends.push_back(std::make_unique<IngressServer>(
+          &pattern.schema, BackendOptions(1), IngressOptions{}));
+      std::string error;
+      ASSERT_TRUE(backends.back()->Start(&error)) << error;
+      options.backends.push_back(
+          BackendAddress{"127.0.0.1", backends.back()->port()});
+    }
+    const size_t before = CountThreads();
+    Router router(options);
+    std::string error;
+    ASSERT_TRUE(router.Start(&error)) << error;
+    added.push_back(CountThreads() - before);
+    router.Stop();
+    for (const std::unique_ptr<IngressServer>& backend : backends) {
+      backend->Stop();
+    }
+  }
+  EXPECT_EQ(added[0], added[1]);
 }
 
 }  // namespace

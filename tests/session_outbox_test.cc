@@ -146,6 +146,35 @@ TEST(SessionOutboxTest, BlockedThenResumesMidFrame) {
   EXPECT_EQ(outbox.GetStats().sends, 2);
 }
 
+// QueuedBytes is the unsent backlog: every pushed byte until a send takes
+// it, the unsent tail of a frame cut mid-way included, and zero once a
+// failed send discarded the rest.
+TEST(SessionOutboxTest, QueuedBytesCountsTheUnsentBacklog) {
+  const std::vector<std::vector<uint8_t>> frames = MixedFrames();
+  const size_t total = Concat(frames).size();
+  SessionOutbox outbox;
+  EXPECT_EQ(outbox.QueuedBytes(), 0u);
+  for (const std::vector<uint8_t>& frame : frames) outbox.Push(frame);
+  EXPECT_EQ(outbox.QueuedBytes(), total);
+
+  FakeSender sender;
+  sender.per_call = 13;  // cuts the second frame
+  int calls = 0;
+  const SessionOutbox::GatherSend fills =
+      [&, inner = sender.Fn()](const iovec* iov, size_t count) {
+        if (++calls > 1) return IoResult{IoStatus::kWouldBlock, 0};
+        return inner(iov, count);
+      };
+  EXPECT_EQ(outbox.TryDrain(fills), DrainStatus::kBlocked);
+  EXPECT_EQ(outbox.QueuedBytes(), total - 13);
+
+  const SessionOutbox::GatherSend fails = [](const iovec*, size_t) {
+    return IoResult{IoStatus::kError, 0};
+  };
+  EXPECT_EQ(outbox.TryDrain(fails), DrainStatus::kDrained);
+  EXPECT_EQ(outbox.QueuedBytes(), 0u);
+}
+
 TEST(SessionOutboxTest, FailedSendDiscardsTheRestAndCompletes) {
   SessionOutbox outbox;
   for (size_t i = 0; i < 5; ++i) outbox.Push(MakeFrame(i, 20));
