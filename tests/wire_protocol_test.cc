@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -796,6 +798,340 @@ TEST(WireProtocolTest, RawReframingIsTheIdentityOnTheStream) {
   }
   ASSERT_EQ(assembler.error(), WireError::kNone);
   EXPECT_EQ(reframed, stream);
+}
+
+// --- Golden wire bytes. One fully populated instance of every message
+// type, encoded and compared against checked-in hex. Round-trip tests pass
+// any self-consistent layout change; these pin the bytes themselves, so a
+// codec rewrite that reorders, widens or drops a field fails here. Every
+// field holds a distinct nonzero value, so a swapped pair shows too.
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// Splits `frame` off a stream of exactly one frame and checks its type.
+Frame OnlyFrame(const std::vector<uint8_t>& stream, MsgType type) {
+  FrameAssembler assembler;
+  assembler.Feed(stream.data(), stream.size());
+  std::optional<Frame> frame = assembler.Next();
+  EXPECT_TRUE(frame.has_value());
+  EXPECT_EQ(assembler.buffered_bytes(), 0u);
+  if (!frame.has_value()) return Frame{};
+  EXPECT_EQ(frame->type, static_cast<uint8_t>(type));
+  return std::move(*frame);
+}
+
+core::SourceBinding GoldenSources() {
+  return {{3, Value::Null()},
+          {4, Value::Bool(true)},
+          {5, Value::Int(-2)},
+          {6, Value::Double(1.5)},
+          {7, Value::String("ab")}};
+}
+
+SubmitRequest GoldenSubmit(bool has_trace) {
+  SubmitRequest msg;
+  msg.request_id = 0x0102030405060708ull;
+  msg.seed = 0x1112131415161718ull;
+  msg.blocking = true;
+  msg.want_snapshot = true;
+  msg.strategy = "PSE100";
+  msg.sources = GoldenSources();
+  msg.has_trace = has_trace;
+  if (has_trace) msg.trace_id = 0x2122232425262728ull;
+  return msg;
+}
+
+BatchSubmitRequest GoldenBatchSubmit() {
+  BatchSubmitRequest msg;
+  msg.request_id_base = 0x0a0b0c0d0e0f1011ull;
+  msg.blocking = false;
+  msg.want_snapshot = true;
+  msg.strategy = "NCC0";
+  msg.items.push_back(BatchItem{0x3132333435363738ull, GoldenSources()});
+  msg.items.push_back(BatchItem{0x41ull, {{9, Value::Int(77)}}});
+  return msg;
+}
+
+SubmitResult GoldenSubmitResult() {
+  SubmitResult msg;
+  msg.request_id = 0x5152535455565758ull;
+  msg.shard = 3;
+  msg.work = 1234;
+  msg.wasted_work = 56;
+  msg.response_time = 78.25;
+  msg.queries_launched = 9;
+  msg.speculative_launches = 2;
+  msg.fingerprint = 0x6162636465666768ull;
+  msg.strategy = "PCE0";
+  msg.has_snapshot = true;
+  msg.snapshot = {
+      SnapshotEntry{0, core::AttrState::kValue, Value::Int(5)},
+      SnapshotEntry{1, core::AttrState::kDisabled, Value::Null()},
+      SnapshotEntry{2, core::AttrState::kReady, Value::String("x")},
+  };
+  msg.trace_id = 0x7172737475767778ull;
+  msg.spans = {WireSpan{1, 100, 200}, WireSpan{7, 0, 300}};
+  return msg;
+}
+
+ErrorReply GoldenError() {
+  return ErrorReply{0x8182838485868788ull, WireError::kRejectedBusy,
+                    "queue full"};
+}
+
+ServerInfo GoldenInfo() {
+  ServerInfo msg;
+  msg.num_shards = 4;
+  msg.strategy = "PSE80";
+  msg.backend = 1;
+  msg.queue_capacity_per_shard = 256;
+  msg.completed = 1001;
+  msg.rejected = 1002;
+  msg.cache_hits = 1003;
+  msg.cache_misses = 1004;
+  msg.node_id = "router:4600";
+  msg.fleet_epoch = 7;
+  runtime::IngressStats& s = msg.ingress;
+  s.connections_opened = 11;
+  s.connections_closed = 12;
+  s.requests_accepted = 13;
+  s.requests_rejected_busy = 14;
+  s.requests_rejected_shutdown = 15;
+  s.decode_errors = 16;
+  s.protocol_errors = 17;
+  s.info_requests = 18;
+  s.bytes_in = 19;
+  s.bytes_out = 20;
+  s.outbox_inflight_hwm = 21;
+  s.outbox_bytes_written = 22;
+  s.outbox_write_stalls = 23;
+  msg.router.is_router = 1;
+  msg.router.replicas = 2;
+  msg.router.failovers = 31;
+  msg.router.divergence_checks = 32;
+  msg.router.divergence_mismatches = 33;
+  msg.router.divergence_incomplete = 34;
+  msg.router.backends.push_back(RouterBackendStats{
+      "127.0.0.1:4501", "serve:4501", 1, 2, 0, 1, 41, 42, 43, 44, 45});
+  msg.router.backends.push_back(RouterBackendStats{
+      "127.0.0.1:4502", "", 0, 3, 1, 0, 51, 52, 53, 54, 55});
+  msg.advisor.enabled = 1;
+  msg.advisor.fingerprint = 0x9192939495969798ull;
+  msg.advisor.selections = 61;
+  msg.advisor.explores = 62;
+  msg.advisor.by_strategy = {{"PCE0", 63}, {"PSE100", 64}};
+  return msg;
+}
+
+NodeStats GoldenNodeStats(const std::string& node_id, int64_t base) {
+  NodeStats node;
+  node.node_id = node_id;
+  node.is_router = base == 100 ? 1 : 0;
+  node.metrics = "dflow_x " + std::to_string(base) + "\n";
+  NodeHealth& health = node.health;
+  health.status = 1;
+  health.completed = base + 1;
+  health.failovers = base + 2;
+  health.divergence_checks = base + 3;
+  health.divergence_mismatches = base + 4;
+  health.events_total = base + 5;
+  health.series.push_back(WireHealthSample{base + 6, 0.5, 1000.25, 0.125,
+                                           0.75, 2.5, 17, 0.0625, 2});
+  health.events.push_back(WireEvent{5, 2, base + 7, node_id, "drop"});
+  NodeProfile& profile = node.profile;
+  profile.sample_period = 64;
+  profile.profiled_requests = base + 8;
+  profile.total_requests = base + 9;
+  profile.attrs.push_back(
+      WireAttrProfile{4, "a4", base + 10, base + 11, base + 12, base + 13,
+                      base + 14});
+  profile.conds.push_back(
+      WireCondProfile{5, "a5", base + 15, base + 16, base + 17, base + 18,
+                      base + 19});
+  profile.classes.push_back(WireClassProfile{
+      0xa1a2a3a4a5a6a7a8ull, base + 20, base + 21, base + 22, base + 23,
+      base + 24});
+  profile.plan_dot = "digraph G {}";
+  return node;
+}
+
+StatsInfo GoldenStats() {
+  StatsInfo msg;
+  msg.request_id = 0xb1b2b3b4b5b6b7b8ull;
+  msg.sections = kStatsAllSections;
+  msg.self = GoldenNodeStats("router:1", 100);
+  msg.backends.push_back(GoldenNodeStats("serve:1", 200));
+  msg.backends.push_back(GoldenNodeStats("serve:2", 300));
+  return msg;
+}
+
+TEST(WireProtocolGoldenTest, SubmitWithoutTraceMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeSubmit(GoldenSubmit(false), &stream);
+  EXPECT_EQ(Hex(stream),
+            "4446090152000000080706050403020118171615141312110300000006000000"
+            "5053453130300500000003000000000400000001010500000002feffffffffff"
+            "ffff0600000003000000000000f83f0700000004020000006162");
+  SubmitRequest out;
+  ASSERT_TRUE(DecodeSubmit(OnlyFrame(stream, MsgType::kSubmit).payload, &out));
+  EXPECT_EQ(out, GoldenSubmit(false));
+}
+
+TEST(WireProtocolGoldenTest, SubmitWithTraceMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeSubmit(GoldenSubmit(true), &stream);
+  EXPECT_EQ(Hex(stream),
+            "444609015b000000080706050403020118171615141312110700000006000000"
+            "5053453130300500000003000000000400000001010500000002feffffffffff"
+            "ffff0600000003000000000000f83f0700000004020000006162282726252423"
+            "222100");
+  SubmitRequest out;
+  ASSERT_TRUE(DecodeSubmit(OnlyFrame(stream, MsgType::kSubmit).payload, &out));
+  EXPECT_EQ(out, GoldenSubmit(true));
+}
+
+TEST(WireProtocolGoldenTest, BatchSubmitMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeBatchSubmit(GoldenBatchSubmit(), &stream);
+  EXPECT_EQ(Hex(stream),
+            "4446090c6d00000011100f0e0d0c0b0a02000000040000004e43433002000000"
+            "38373635343332310500000003000000000400000001010500000002feffffff"
+            "ffffffff0600000003000000000000f83f070000000402000000616241000000"
+            "000000000100000009000000024d00000000000000");
+  BatchSubmitRequest out;
+  ASSERT_TRUE(DecodeBatchSubmit(
+      OnlyFrame(stream, MsgType::kBatchSubmit).payload, &out));
+  EXPECT_EQ(out, GoldenBatchSubmit());
+}
+
+TEST(WireProtocolGoldenTest, SubmitResultMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeSubmitResult(GoldenSubmitResult(), &stream);
+  EXPECT_EQ(Hex(stream),
+            "444609028b000000585756555453525103000000d20400000000000038000000"
+            "0000000000000000009053400900000002000000686766656463626104000000"
+            "5043453001030000000000000005020500000000000000010000000600020000"
+            "00020401000000787877767574737271016400000000000000c8000000000000"
+            "000700000000000000002c0100000000000002");
+  SubmitResult out;
+  ASSERT_TRUE(DecodeSubmitResult(
+      OnlyFrame(stream, MsgType::kSubmitResult).payload, &out));
+  EXPECT_EQ(out, GoldenSubmitResult());
+}
+
+TEST(WireProtocolGoldenTest, ErrorMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeError(GoldenError(), &stream);
+  EXPECT_EQ(Hex(stream),
+            "4446090318000000888786858483828101000a00000071756575652066756c6c");
+  ErrorReply out;
+  ASSERT_TRUE(DecodeError(OnlyFrame(stream, MsgType::kError).payload, &out));
+  EXPECT_EQ(out, GoldenError());
+}
+
+TEST(WireProtocolGoldenTest, InfoMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeInfo(GoldenInfo(), &stream);
+  EXPECT_EQ(Hex(stream),
+            "44460905bd01000004000000050000005053453830010001000000000000e903"
+            "000000000000ea03000000000000eb03000000000000ec030000000000000b00"
+            "0000726f757465723a3436303007000000000000000b000000000000000c0000"
+            "00000000000d000000000000000e000000000000000f00000000000000100000"
+            "0000000000110000000000000012000000000000001300000000000000140000"
+            "0000000000150000000000000016000000000000001700000000000000010200"
+            "00001f0000000000000020000000000000002100000000000000220000000000"
+            "0000020000000e0000003132372e302e302e313a343530310a00000073657276"
+            "653a343530310102000000000000000100000029000000000000002a00000000"
+            "0000002b000000000000002c000000000000002d000000000000000e00000031"
+            "32372e302e302e313a3435303200000000000300000001000000000000003300"
+            "0000000000003400000000000000350000000000000036000000000000003700"
+            "0000000000000198979695949392913d000000000000003e0000000000000002"
+            "00000004000000504345303f0000000000000006000000505345313030400000"
+            "0000000000");
+  ServerInfo out;
+  ASSERT_TRUE(DecodeInfo(OnlyFrame(stream, MsgType::kInfo).payload, &out));
+  EXPECT_EQ(out, GoldenInfo());
+}
+
+TEST(WireProtocolGoldenTest, StatsRequestMatchesCheckedInBytes) {
+  const StatsRequest msg{0xc1c2c3c4c5c6c7c8ull, kStatsAllSections};
+  std::vector<uint8_t> stream;
+  EncodeStatsRequest(msg, &stream);
+  EXPECT_EQ(Hex(stream),
+            "4446090f09000000c8c7c6c5c4c3c2c107");
+  StatsRequest out;
+  ASSERT_TRUE(DecodeStatsRequest(
+      OnlyFrame(stream, MsgType::kStatsRequest).payload, &out));
+  EXPECT_EQ(out, msg);
+}
+
+TEST(WireProtocolGoldenTest, StatsMatchesCheckedInBytes) {
+  std::vector<uint8_t> stream;
+  EncodeStats(GoldenStats(), &stream);
+  EXPECT_EQ(Hex(stream),
+            "4446091068040000b8b7b6b5b4b3b2b10708000000726f757465723a31010c00"
+            "000064666c6f775f78203130300a016500000000000000660000000000000067"
+            "0000000000000068000000000000006900000000000000010000006a00000000"
+            "000000000000000000e03f0000000000428f40000000000000c03f0000000000"
+            "00e83f00000000000004401100000000000000000000000000b03f0201000000"
+            "05026b0000000000000008000000726f757465723a310400000064726f704000"
+            "0000000000006c000000000000006d0000000000000001000000040000000200"
+            "000061346e000000000000006f00000000000000700000000000000071000000"
+            "0000000072000000000000000100000005000000020000006135730000000000"
+            "0000740000000000000075000000000000007600000000000000770000000000"
+            "000001000000a8a7a6a5a4a3a2a1780000000000000079000000000000007a00"
+            "0000000000007b000000000000007c000000000000000c000000646967726170"
+            "682047207b7d020000000700000073657276653a31000c00000064666c6f775f"
+            "78203230300a01c900000000000000ca00000000000000cb00000000000000cc"
+            "00000000000000cd0000000000000001000000ce000000000000000000000000"
+            "00e03f0000000000428f40000000000000c03f000000000000e83f0000000000"
+            "0004401100000000000000000000000000b03f02010000000502cf0000000000"
+            "00000700000073657276653a310400000064726f704000000000000000d00000"
+            "0000000000d1000000000000000100000004000000020000006134d200000000"
+            "000000d300000000000000d400000000000000d500000000000000d600000000"
+            "0000000100000005000000020000006135d700000000000000d8000000000000"
+            "00d900000000000000da00000000000000db0000000000000001000000a8a7a6"
+            "a5a4a3a2a1dc00000000000000dd00000000000000de00000000000000df0000"
+            "0000000000e0000000000000000c000000646967726170682047207b7d070000"
+            "0073657276653a32000c00000064666c6f775f78203330300a012d0100000000"
+            "00002e010000000000002f010000000000003001000000000000310100000000"
+            "0000010000003201000000000000000000000000e03f0000000000428f400000"
+            "00000000c03f000000000000e83f000000000000044011000000000000000000"
+            "00000000b03f0201000000050233010000000000000700000073657276653a32"
+            "0400000064726f70400000000000000034010000000000003501000000000000"
+            "0100000004000000020000006134360100000000000037010000000000003801"
+            "00000000000039010000000000003a0100000000000001000000050000000200"
+            "000061353b010000000000003c010000000000003d010000000000003e010000"
+            "000000003f0100000000000001000000a8a7a6a5a4a3a2a14001000000000000"
+            "4101000000000000420100000000000043010000000000004401000000000000"
+            "0c000000646967726170682047207b7d");
+  StatsInfo out;
+  ASSERT_TRUE(DecodeStats(OnlyFrame(stream, MsgType::kStats).payload, &out));
+  EXPECT_EQ(out, GoldenStats());
+}
+
+// The payloadless frames are a bare header.
+TEST(WireProtocolGoldenTest, PayloadlessFramesMatchCheckedInBytes) {
+  const std::pair<void (*)(std::vector<uint8_t>*), MsgType> frames[] = {
+      {EncodeInfoRequest, MsgType::kInfoRequest},
+      {EncodeGoodbye, MsgType::kGoodbye},
+      {EncodeGoodbyeAck, MsgType::kGoodbyeAck},
+  };
+  const char* golden[] = {"4446090400000000", "4446090600000000", "4446090700000000"};
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<uint8_t> stream;
+    frames[i].first(&stream);
+    EXPECT_EQ(Hex(stream), golden[i]);
+    EXPECT_TRUE(OnlyFrame(stream, frames[i].second).payload.empty());
+  }
 }
 
 }  // namespace
