@@ -26,18 +26,6 @@ constexpr int kHandshakeRecvTimeoutMs = 5000;
 // and it bounds the router's buffering of a backend that stopped reading.
 constexpr size_t kBackendBacklogCapBytes = 256 * 1024;
 
-// Fixed payload offsets the router peeks/patches without decoding:
-//   Submit:        request_id u64 | seed u64 | flags u32 | ...
-//   SubmitResult:  request_id u64 | shard u32 | work i64 | wasted i64 |
-//                  response_time f64 | queries u32 | speculative u32 |
-//                  fingerprint u64 | ...
-//   Error:         request_id u64 | code u16 | ...
-constexpr size_t kSubmitPeekBytes = 20;
-// The divergence check compares replica answers by the fingerprint field,
-// peeked at its fixed offset — still no body decode on the relay path.
-constexpr size_t kResultFingerprintOffset = 44;
-constexpr size_t kResultPeekBytes = kResultFingerprintOffset + 8;
-
 // Salt for the deterministic 1-in-N divergence sampling hash (the same
 // Mix(seed, salt) % N idiom trace sampling uses, with a different salt so
 // the two samples are uncorrelated).
@@ -543,7 +531,7 @@ EventConn::FrameAction Router::HandleSubmit(
               "short submit payload");
     return EventConn::FrameAction::kContinue;
   }
-  const int slot = SlotFor(ReadLe64(frame.payload.data() + 8));
+  const int slot = SlotFor(ReadLe64(frame.payload.data() + kSubmitSeedOffset));
   const auto forward = [this, conn, session, slot](Frame& submit) {
     if (Backlogged(slot)) return false;
     RouteSubmit(conn, session, submit);
@@ -560,7 +548,7 @@ void Router::RouteSubmit(EventConn* conn,
                          const std::shared_ptr<Session>& session,
                          Frame& frame) {
   const uint64_t request_id = ReadLe64(frame.payload.data());
-  const uint64_t seed = ReadLe64(frame.payload.data() + 8);
+  const uint64_t seed = ReadLe64(frame.payload.data() + kSubmitSeedOffset);
   const int slot = SlotFor(seed);
   // Trace decision at the fleet's entry point: a client-set trace flag is
   // always honored, otherwise the router's own deterministic sample
@@ -571,27 +559,29 @@ void Router::RouteSubmit(EventConn* conn,
   // the fixed-offset flags word, and the extension is the payload's last
   // nine bytes.
   std::shared_ptr<obs::RequestTrace> trace;
-  const bool client_flagged = (frame.payload[16] & 0x04) != 0;
+  const bool client_flagged =
+      (frame.payload[kSubmitFlagsOffset] & kSubmitFlagHasTrace) != 0;
   if (client_flagged || recorder_.ShouldTrace(seed)) {
     const bool has_extension =
-        client_flagged && frame.payload.size() >= kSubmitPeekBytes + 9;
+        client_flagged &&
+        frame.payload.size() >= kSubmitPeekBytes + kSubmitTraceExtensionBytes;
+    uint8_t* const extension_at = frame.payload.data() +
+                                  frame.payload.size() -
+                                  kSubmitTraceExtensionBytes;
     uint64_t upstream_id = 0;
-    if (has_extension) {
-      upstream_id =
-          ReadLe64(frame.payload.data() + frame.payload.size() - 9);
-    }
+    if (has_extension) upstream_id = ReadLe64(extension_at);
     trace = recorder_.Begin(seed, upstream_id);
     if (has_extension) {
       // trace_id 0 in a client extension means "assign at the entry
       // point" — that is us; a nonzero id came from further upstream and
       // Begin() adopted it, so this write is then a no-op.
-      WriteLe64(trace->trace_id(),
-                frame.payload.data() + frame.payload.size() - 9);
+      WriteLe64(trace->trace_id(), extension_at);
     } else {
-      frame.payload[16] |= 0x04;  // kFlagHasTrace (flags u32 LE @ 16)
-      uint8_t extension[9] = {0};
+      frame.payload[kSubmitFlagsOffset] |= kSubmitFlagHasTrace;
+      uint8_t extension[kSubmitTraceExtensionBytes] = {0};
       WriteLe64(trace->trace_id(), extension);
-      frame.payload.insert(frame.payload.end(), extension, extension + 9);
+      frame.payload.insert(frame.payload.end(), extension,
+                           extension + kSubmitTraceExtensionBytes);
     }
   }
   const uint64_t start_ns =
@@ -1008,7 +998,7 @@ void Router::HandleBackendFrame(Backend* backend, Frame& frame) {
     front_.CountProtocolError();
     return;
   }
-  if (frame.payload.size() < 8) {
+  if (frame.payload.size() < kRequestIdBytes) {
     front_.CountProtocolError();
     return;
   }
@@ -1033,8 +1023,9 @@ void Router::HandleBackendFrame(Backend* backend, Frame& frame) {
   // shadow copy ends here: it has no session, no outbox slot, and is
   // never relayed.
   if (pending.check_id != 0) {
-    const bool result_ok = type == MsgType::kSubmitResult &&
-                           frame.payload.size() >= kResultPeekBytes;
+    const bool result_ok =
+        type == MsgType::kSubmitResult &&
+        frame.payload.size() >= kResultFingerprintOffset + sizeof(uint64_t);
     const uint64_t fingerprint =
         result_ok ? ReadLe64(frame.payload.data() + kResultFingerprintOffset)
                   : 0;
@@ -1044,8 +1035,8 @@ void Router::HandleBackendFrame(Backend* backend, Frame& frame) {
   if (pending.shadow) return;
   if (type == MsgType::kSubmitResult) {
     relayed_results_.fetch_add(1, std::memory_order_relaxed);
-  } else if (frame.payload.size() >= 10) {
-    const uint16_t code = ReadLe16(frame.payload.data() + 8);
+  } else if (frame.payload.size() >= kErrorCodeOffset + sizeof(uint16_t)) {
+    const uint16_t code = ReadLe16(frame.payload.data() + kErrorCodeOffset);
     if (code == static_cast<uint16_t>(WireError::kRejectedBusy)) {
       relayed_busy_.fetch_add(1, std::memory_order_relaxed);
     } else if (code == static_cast<uint16_t>(WireError::kShuttingDown)) {

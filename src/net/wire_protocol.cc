@@ -3,197 +3,147 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 #include "common/rng.h"
 
 namespace dflow::net {
 namespace {
 
-// --- Little-endian primitive writers appending to a byte vector.
+// --- Little-endian words: one memcpy of the whole word on little-endian
+// hosts, a byte-at-a-time shift elsewhere.
 
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
-
-// Appends `v` little-endian: one resize and one memcpy of the whole word
-// on little-endian hosts, a byte-at-a-time shift elsewhere.
-template <typename Word>
-void PutWord(Word v, std::vector<uint8_t>* out) {
-  const size_t at = out->size();
-  out->resize(at + sizeof(Word));
+template <class W>
+W LoadLe(const uint8_t* p) {
+  W v = 0;
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out->data() + at, &v, sizeof(Word));
+    std::memcpy(&v, p, sizeof(W));
   } else {
-    for (size_t i = 0; i < sizeof(Word); ++i) {
-      (*out)[at + i] = static_cast<uint8_t>(v >> (8 * i));
+    for (size_t i = 0; i < sizeof(W); ++i) {
+      v = static_cast<W>(v | static_cast<W>(p[i]) << (8 * i));
+    }
+  }
+  return v;
+}
+
+template <class W>
+void StoreLe(W v, uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(W));
+  } else {
+    for (size_t i = 0; i < sizeof(W); ++i) {
+      p[i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 }
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
-void PutU32(uint32_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
-void PutU64(uint64_t v, std::vector<uint8_t>* out) { PutWord(v, out); }
+// The unsigned word as wide as the fixed-width field type F. An integer,
+// enum or double travels as the little-endian bit pattern of its own
+// width (two's complement for signed fields, IEEE-754 for doubles).
+template <class F>
+using WireWord = std::conditional_t<
+    sizeof(F) == 1, uint8_t,
+    std::conditional_t<sizeof(F) == 2, uint16_t,
+                       std::conditional_t<sizeof(F) == 4, uint32_t,
+                                          uint64_t>>>;
 
-void PutI64(int64_t v, std::vector<uint8_t>* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
+// --- The three walks. Each Layout(io, msg) below names a message's fields
+// once, in wire order, and the Io decides what visiting a field means:
+// Writer appends it, Reader parses it, Sizer counts its bytes. Dispatch is
+// static (templates, no virtual calls). A string travels as a u32 length
+// and its bytes. Layouts take mutable references so that one field list
+// serves all three walks; only the Reader stores through them (see Store),
+// so encoding and sizing never write to a message.
 
-void PutDouble(double v, std::vector<uint8_t>* out) {
-  PutU64(std::bit_cast<uint64_t>(v), out);
-}
+class Writer {
+ public:
+  static constexpr bool kReading = false;
 
-void PutString(const std::string& s, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->insert(out->end(), s.begin(), s.end());
-}
+  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
 
-void PutValue(const Value& value, std::vector<uint8_t>* out) {
-  PutU8(static_cast<uint8_t>(value.type()), out);
-  switch (value.type()) {
-    case Value::Type::kNull:
-      break;
-    case Value::Type::kBool:
-      PutU8(value.bool_value() ? 1 : 0, out);
-      break;
-    case Value::Type::kInt:
-      PutI64(value.int_value(), out);
-      break;
-    case Value::Type::kDouble:
-      PutDouble(value.double_value(), out);
-      break;
-    case Value::Type::kString:
-      PutString(value.string_value(), out);
-      break;
+  template <class F>
+  bool Word(const F& v) {
+    const size_t at = out_->size();
+    out_->resize(at + sizeof(F));
+    StoreLe(std::bit_cast<WireWord<F>>(v), out_->data() + at);
+    return true;
   }
-}
 
-// The encoded size of one Value (PutValue's output).
-size_t ValueWireBytes(const Value& value) {
-  switch (value.type()) {
-    case Value::Type::kNull:
-      return 1;
-    case Value::Type::kBool:
-      return 2;
-    case Value::Type::kInt:
-    case Value::Type::kDouble:
-      return 9;
-    case Value::Type::kString:
-      return 5 + value.string_value().size();
+  bool Text(const std::string& s) {
+    Word(static_cast<uint32_t>(s.size()));
+    out_->insert(out_->end(), s.begin(), s.end());
+    return true;
   }
-  return 1;
-}
 
-// --- Bounds-checked little-endian reader over a payload. Every Get fails
-// (returns false, poisoning the reader) on a short read; Done() afterwards
-// rejects trailing garbage, so a decode succeeds only on an exact parse.
+  // Encoding trusts its input: only the Reader enforces checks.
+  bool Check(bool) { return true; }
 
+ private:
+  std::vector<uint8_t>* out_;
+};
+
+class Sizer {
+ public:
+  static constexpr bool kReading = false;
+
+  template <class F>
+  bool Word(const F&) {
+    bytes += sizeof(F);
+    return true;
+  }
+
+  bool Text(const std::string& s) {
+    bytes += sizeof(uint32_t) + s.size();
+    return true;
+  }
+
+  bool Check(bool) { return true; }
+
+  size_t bytes = 0;
+};
+
+// Bounds-checked: every visit fails (returns false, poisoning the reader)
+// on a short read or a failed Check; Done() afterwards rejects trailing
+// garbage, so a decode succeeds only on an exact parse.
 class Reader {
  public:
+  static constexpr bool kReading = true;
+
   explicit Reader(const std::vector<uint8_t>& data) : data_(data) {}
 
-  bool GetU8(uint8_t* v) {
-    if (!Need(1)) return false;
-    *v = data_[pos_++];
+  template <class F>
+  bool Word(F& v) {
+    // A bool must be range-checked first (Layout(io, bool&) does).
+    static_assert(!std::is_same_v<F, bool>);
+    if (!Need(sizeof(F))) return false;
+    v = std::bit_cast<F>(LoadLe<WireWord<F>>(data_.data() + pos_));
+    pos_ += sizeof(F);
     return true;
   }
 
-  bool GetU16(uint16_t* v) {
-    if (!Need(2)) return false;
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool GetU32(uint32_t* v) {
-    if (!Need(4)) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool GetU64(uint64_t* v) {
-    if (!Need(8)) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool GetI64(int64_t* v) {
-    uint64_t raw;
-    if (!GetU64(&raw)) return false;
-    *v = static_cast<int64_t>(raw);
-    return true;
-  }
-
-  bool GetDouble(double* v) {
-    uint64_t raw;
-    if (!GetU64(&raw)) return false;
-    *v = std::bit_cast<double>(raw);
-    return true;
-  }
-
-  bool GetString(std::string* s) {
+  bool Text(std::string& s) {
     uint32_t size;
-    if (!GetU32(&size) || !Need(size)) return false;
-    s->assign(reinterpret_cast<const char*>(data_.data()) + pos_, size);
+    if (!Word(size) || !Need(size)) return false;
+    s.assign(reinterpret_cast<const char*>(data_.data()) + pos_, size);
     pos_ += size;
     return true;
   }
 
-  bool GetValue(Value* value) {
-    uint8_t tag;
-    if (!GetU8(&tag)) return false;
-    // Range-check before casting: Value::Type has no fixed underlying
-    // type, so static_cast from an out-of-range wire byte would be UB.
-    if (tag > static_cast<uint8_t>(Value::Type::kString)) return Fail();
-    switch (static_cast<Value::Type>(tag)) {
-      case Value::Type::kNull:
-        *value = Value::Null();
-        return true;
-      case Value::Type::kBool: {
-        uint8_t b;
-        if (!GetU8(&b) || b > 1) return Fail();
-        *value = Value::Bool(b == 1);
-        return true;
-      }
-      case Value::Type::kInt: {
-        int64_t i;
-        if (!GetI64(&i)) return false;
-        *value = Value::Int(i);
-        return true;
-      }
-      case Value::Type::kDouble: {
-        double d;
-        if (!GetDouble(&d)) return false;
-        *value = Value::Double(d);
-        return true;
-      }
-      case Value::Type::kString: {
-        std::string s;
-        if (!GetString(&s)) return false;
-        *value = Value::String(std::move(s));
-        return true;
-      }
-    }
-    return Fail();  // unknown type tag
-  }
+  bool Check(bool ok) { return ok || Fail(); }
+
+  // The whole payload's size: what bounds a hostile element count.
+  size_t size() const { return data_.size(); }
+  // Unconsumed bytes (0 once poisoned), and the payload's last byte — the
+  // SubmitResult trailer is count-terminated.
+  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
+  uint8_t last_byte() const { return data_.back(); }
 
   // True iff every byte was consumed and nothing failed.
   bool Done() const { return ok_ && pos_ == data_.size(); }
 
-  // Unconsumed bytes (0 once poisoned) — lets the SubmitResult decoder
-  // size the count-terminated timing trailer before walking it.
-  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
-
  private:
-  bool Need(size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) return Fail();
-    return true;
-  }
+  bool Need(size_t n) { return Check(ok_ && data_.size() - pos_ >= n); }
   bool Fail() {
     ok_ = false;
     return false;
@@ -204,350 +154,437 @@ class Reader {
   bool ok_ = true;
 };
 
-// Reserves a frame header in `out`, returning the patch offset; the
-// payload is then appended in place and SealFrame fills in its length.
-size_t BeginFrame(MsgType type, std::vector<uint8_t>* out) {
-  const size_t header_at = out->size();
-  PutU8(kMagic0, out);
-  PutU8(kMagic1, out);
-  PutU8(kWireVersion, out);
-  PutU8(static_cast<uint8_t>(type), out);
-  PutU32(0, out);  // payload length, patched by SealFrame
-  return header_at;
-}
-
-void SealFrame(size_t header_at, std::vector<uint8_t>* out) {
-  const uint32_t payload_len =
-      static_cast<uint32_t>(out->size() - header_at - kFrameHeaderBytes);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[header_at + 4 + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(payload_len >> (8 * i));
-  }
-}
-
-constexpr uint32_t kFlagBlocking = 1u << 0;
-constexpr uint32_t kFlagWantSnapshot = 1u << 1;
-// v4: the submit payload carries a trailing trace-context extension
-// ([trace_id u64][trace_flags u8], after the sources). The routing tier
-// sets this bit by patching the flags word in place at offset 16 — keep
-// that offset stable.
-constexpr uint32_t kFlagHasTrace = 1u << 2;
-constexpr uint32_t kKnownFlags =
-    kFlagBlocking | kFlagWantSnapshot | kFlagHasTrace;
-
-// The SubmitResult timing trailer: [trace_id u64][count x 17-byte spans]
-// [count u8]. The span count terminates the payload (rather than leading
-// the trailer) so a router can append its own span without decoding the
-// body: insert 17 bytes before the last byte, bump it.
-constexpr size_t kWireSpanBytes = 17;
-constexpr size_t kMinTrailerBytes = 9;  // trace_id + count, zero spans
-// Valid obs::SpanKind range on the wire (kMinSpanKind..kMaxSpanKind).
-constexpr uint8_t kMinWireSpanKind = 1;
-constexpr uint8_t kMaxWireSpanKind = 7;
-
-bool GetSnapshotEntry(Reader* reader, SnapshotEntry* entry) {
-  uint32_t attr;
-  uint8_t state;
-  if (!reader->GetU32(&attr) || !reader->GetU8(&state) ||
-      !reader->GetValue(&entry->value)) {
-    return false;
-  }
-  if (state > static_cast<uint8_t>(core::AttrState::kDisabled)) return false;
-  entry->attr = static_cast<AttributeId>(attr);
-  entry->state = static_cast<core::AttrState>(state);
+// Decoding stores `v` into `field`; encoding and sizing leave it alone.
+template <class Io, class T, class V>
+bool Store(Io&, T& field, V&& v) {
+  if constexpr (Io::kReading) field = std::forward<V>(v);
   return true;
 }
 
-void PutIngressStats(const runtime::IngressStats& s,
-                     std::vector<uint8_t>* out) {
-  PutI64(s.connections_opened, out);
-  PutI64(s.connections_closed, out);
-  PutI64(s.requests_accepted, out);
-  PutI64(s.requests_rejected_busy, out);
-  PutI64(s.requests_rejected_shutdown, out);
-  PutI64(s.decode_errors, out);
-  PutI64(s.protocol_errors, out);
-  PutI64(s.info_requests, out);
-  PutI64(s.bytes_in, out);
-  PutI64(s.bytes_out, out);
-  PutI64(s.outbox_inflight_hwm, out);
-  PutI64(s.outbox_bytes_written, out);
-  PutI64(s.outbox_write_stalls, out);
+// --- Field kinds every layout is built from.
+
+template <class Io, class F>
+  requires(std::is_arithmetic_v<F> || std::is_enum_v<F>) &&
+          (!std::is_same_v<F, bool>)
+bool Layout(Io& io, F& field) {
+  return io.Word(field);
 }
 
-// --- Health-section helpers. Wire byte ranges for the obs enums carried
-// as raw u8 (obs::EventKind, obs::Severity, obs::HealthStatus); decoders
-// range-check before the structs ever reach obs code.
+template <class Io>
+bool Layout(Io& io, std::string& s) {
+  return io.Text(s);
+}
+
+// A bool is one byte, 0 or 1.
+template <class Io>
+bool Layout(Io& io, bool& b) {
+  uint8_t byte = b ? 1 : 0;
+  return io.Word(byte) && io.Check(byte <= 1) && Store(io, b, byte == 1);
+}
+
+// A byte or enum that must lie in [lo, hi]. These are raw tags of
+// append-only taxonomies (obs enums, error codes, attribute states), so
+// out of range means corruption or a newer peer.
+template <class F>
+struct Ranged {
+  F& field;
+  F lo;
+  F hi;
+};
+
+template <class F>
+Ranged<F> InRange(F& field, std::type_identity_t<F> lo,
+                  std::type_identity_t<F> hi) {
+  return {field, lo, hi};
+}
+
+template <class Io, class F>
+bool Layout(Io& io, Ranged<F> r) {
+  return io.Word(r.field) && io.Check(r.lo <= r.field && r.field <= r.hi);
+}
+
+// A u32 flag word whose bit i is the i-th bool. A set bit beyond them is
+// malformed: an unknown flag is a forward-compat error, not ignorable.
+template <size_t N>
+struct FlagWord {
+  bool* bits[N];
+};
+
+template <class... B>
+FlagWord<sizeof...(B)> Flags(B&... bits) {
+  return {{&bits...}};
+}
+
+template <class Io, size_t N>
+bool Layout(Io& io, FlagWord<N> flags) {
+  uint32_t word = 0;
+  for (size_t i = 0; i < N; ++i) word |= uint32_t{*flags.bits[i]} << i;
+  if (!io.Word(word) || !io.Check(word >> N == 0)) return false;
+  for (size_t i = 0; i < N; ++i) Store(io, *flags.bits[i], (word >> i & 1) != 0);
+  return true;
+}
+
+template <class Io, class... Fs>
+bool Fields(Io& io, Fs&&... fields) {
+  return (Layout(io, fields) && ...);
+}
+
+// A section that travels only when `present`; absent, it decodes to its
+// default.
+template <class Io, class T>
+bool Optional(Io& io, bool present, T& section) {
+  return present ? Layout(io, section) : Store(io, section, T{});
+}
+
+// The fewest bytes one T can take on the wire: the Sizer's walk over a
+// default T (empty strings and tables, a null Value). `ctx` is what the
+// layout of T depends on besides T (a STATS entry's section mask).
+template <class T, class... Ctx>
+size_t MinWireBytes(const Ctx&... ctx) {
+  const auto walk = [&] {
+    Sizer sizer;
+    T item{};
+    Layout(sizer, item, ctx...);
+    return sizer.bytes;
+  };
+  if constexpr (sizeof...(Ctx) == 0) {
+    static const size_t bytes = walk();
+    return bytes;
+  } else {
+    return walk();
+  }
+}
+
+// A table: a u32 count, then each element. A decoded count is bounded by
+// how many smallest-possible elements the payload could hold before
+// anything is allocated, so a hostile count cannot drive a huge reserve.
+template <class Io, class T, class... Ctx>
+bool Layout(Io& io, std::vector<T>& items, const Ctx&... ctx) {
+  uint32_t count = static_cast<uint32_t>(items.size());
+  if (!io.Word(count)) return false;
+  if constexpr (Io::kReading) {
+    if (!io.Check(count <= io.size() / MinWireBytes<T>(ctx...))) return false;
+    items.clear();
+    items.resize(count);
+  }
+  for (T& item : items) {
+    if (!Layout(io, item, ctx...)) return false;
+  }
+  return true;
+}
+
+// --- The message layouts.
+
+// One alternative of a Value: its payload field, and on decode the Value
+// rebuilt from it.
+template <class Io, class F, class Make>
+bool ValueAs(Io& io, Value& value, F field, Make make) {
+  return Layout(io, field) && Store(io, value, make(std::move(field)));
+}
+
+template <class Io>
+bool Layout(Io& io, Value& value) {
+  uint8_t tag = static_cast<uint8_t>(value.type());
+  // Range-check before casting: Value::Type has no fixed underlying type,
+  // so static_cast from an out-of-range wire byte would be UB.
+  if (!io.Word(tag) ||
+      !io.Check(tag <= static_cast<uint8_t>(Value::Type::kString))) {
+    return false;
+  }
+  constexpr bool kReading = Io::kReading;
+  switch (static_cast<Value::Type>(tag)) {
+    case Value::Type::kNull:
+      return Store(io, value, Value::Null());
+    case Value::Type::kBool:
+      return ValueAs(io, value, !kReading && value.bool_value(), Value::Bool);
+    case Value::Type::kInt:
+      return ValueAs(io, value, kReading ? int64_t{0} : value.int_value(),
+                     Value::Int);
+    case Value::Type::kDouble:
+      return ValueAs(io, value, kReading ? 0.0 : value.double_value(),
+                     Value::Double);
+    case Value::Type::kString:
+      if constexpr (kReading) {
+        return ValueAs(io, value, std::string(), Value::String);
+      } else {
+        return io.Text(value.string_value());
+      }
+  }
+  return false;
+}
+
+// One source binding.
+template <class Io>
+bool Layout(Io& io, std::pair<AttributeId, Value>& binding) {
+  return Fields(io, binding.first, binding.second);
+}
+
+template <class Io>
+bool Layout(Io& io, SubmitRequest& m) {
+  if (!Fields(io, m.request_id, m.seed,
+              Flags(m.blocking, m.want_snapshot, m.has_trace), m.strategy,
+              m.sources)) {
+    return false;
+  }
+  // The v4 trace-context extension trails the sources, so a router adds it
+  // by appending kSubmitTraceExtensionBytes and setting one flag bit.
+  if (!m.has_trace) return Store(io, m.trace_id, 0);
+  uint8_t trace_flags = 0;  // reserved; receivers reject nonzero
+  return Fields(io, m.trace_id, InRange(trace_flags, 0, 0));
+}
+
+template <class Io>
+bool Layout(Io& io, BatchItem& m) {
+  return Fields(io, m.seed, m.sources);
+}
+
+template <class Io>
+bool Layout(Io& io, BatchSubmitRequest& m) {
+  // request_id_base leads the payload like every correlation id, so
+  // PeekRequestId attributes even an undecodable batch. Batches share the
+  // singleton flag word but carry no trace-context extension, so the
+  // has-trace bit is out of range here, not just unknown. Responses carry
+  // request_id_base + i, so the ticket range must not wrap u64.
+  return Fields(io, m.request_id_base, Flags(m.blocking, m.want_snapshot),
+                m.strategy, m.items) &&
+         io.Check(m.request_id_base <= UINT64_MAX - m.items.size());
+}
+
+template <class Io>
+bool Layout(Io& io, SnapshotEntry& m) {
+  return Fields(io, m.attr,
+                InRange(m.state, core::AttrState::kUninitialized,
+                        core::AttrState::kDisabled),
+                m.value);
+}
+
+// Valid obs::SpanKind range on the wire.
+constexpr uint8_t kMinWireSpanKind = 1;
+constexpr uint8_t kMaxWireSpanKind = 7;
+// The trailer's count byte caps the spans that travel; far above the
+// 7-kind taxonomy times any sane router depth. Excess spans are dropped
+// rather than corrupting framing.
+constexpr uint8_t kMaxWireSpans = 255;
+
+template <class Io>
+bool Layout(Io& io, WireSpan& m) {
+  return Fields(io, InRange(m.kind, kMinWireSpanKind, kMaxWireSpanKind),
+                m.start_ns, m.duration_ns);
+}
+
+// The SubmitResult timing trailer, always present:
+// [trace_id u64][count x WireSpan][count u8]. The span count terminates
+// the payload (rather than leading the trailer) so a router can append its
+// own span without decoding the body (AppendResultSpan). On decode the
+// count must name exactly the spans between the trace id and itself, and
+// an untraced result (trace_id 0) carries none.
+template <class Io>
+bool SpanTrailer(Io& io, uint64_t& trace_id, std::vector<WireSpan>& spans) {
+  uint8_t count =
+      static_cast<uint8_t>(std::min<size_t>(spans.size(), kMaxWireSpans));
+  if (!io.Word(trace_id)) return false;
+  if constexpr (Io::kReading) {
+    count = io.last_byte();
+    if (!io.Check(io.remaining() ==
+                      MinWireBytes<WireSpan>() * count + sizeof(count) &&
+                  (trace_id != 0 || count == 0))) {
+      return false;
+    }
+    spans.clear();
+    spans.resize(count);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    if (!Layout(io, spans[i])) return false;
+  }
+  return io.Word(count);
+}
+
+// The trailer's size when it carries `count` spans.
+size_t TrailerBytes(size_t count) {
+  Sizer sizer;
+  uint64_t trace_id = 0;
+  std::vector<WireSpan> none;
+  SpanTrailer(sizer, trace_id, none);
+  return sizer.bytes + count * MinWireBytes<WireSpan>();
+}
+
+template <class Io>
+bool Layout(Io& io, SubmitResult& m) {
+  return Fields(io, m.request_id, m.shard, m.work, m.wasted_work,
+                m.response_time, m.queries_launched, m.speculative_launches,
+                m.fingerprint, m.strategy, m.has_snapshot) &&
+         Optional(io, m.has_snapshot, m.snapshot) &&
+         SpanTrailer(io, m.trace_id, m.spans);
+}
+
+template <class Io>
+bool Layout(Io& io, ErrorReply& m) {
+  return Fields(io, m.request_id,
+                InRange(m.code, WireError::kRejectedBusy,
+                        WireError::kBackendUnavailable),
+                m.message);
+}
+
+template <class Io>
+bool Layout(Io& io, runtime::IngressStats& s) {
+  return Fields(io, s.connections_opened, s.connections_closed,
+                s.requests_accepted, s.requests_rejected_busy,
+                s.requests_rejected_shutdown, s.decode_errors,
+                s.protocol_errors, s.info_requests, s.bytes_in, s.bytes_out,
+                s.outbox_inflight_hwm, s.outbox_bytes_written,
+                s.outbox_write_stalls);
+}
+
+template <class Io>
+bool Layout(Io& io, RouterBackendStats& m) {
+  return Fields(io, m.address, m.node_id, InRange(m.connected, 0, 1),
+                m.shards, m.slot, m.replica, m.forwarded, m.answered,
+                m.unavailable, m.reconnects, m.failovers);
+}
+
+template <class Io>
+bool Layout(Io& io, RouterStats& m) {
+  return Fields(io, InRange(m.is_router, 0, 1), m.replicas, m.failovers,
+                m.divergence_checks, m.divergence_mismatches,
+                m.divergence_incomplete, m.backends);
+}
+
+template <class Io>
+bool Layout(Io& io, AdvisorStrategyCount& m) {
+  return Fields(io, m.strategy, m.count);
+}
+
+template <class Io>
+bool Layout(Io& io, AdvisorInfo& m) {
+  return Fields(io, InRange(m.enabled, 0, 1), m.fingerprint, m.selections,
+                m.explores, m.by_strategy);
+}
+
+template <class Io>
+bool Layout(Io& io, ServerInfo& m) {
+  return Fields(io, m.num_shards, m.strategy, m.backend,
+                m.queue_capacity_per_shard, m.completed, m.rejected,
+                m.cache_hits, m.cache_misses, m.node_id, m.fleet_epoch,
+                m.ingress, m.router, m.advisor);
+}
+
+// Wire ranges of the obs enums the health section carries as raw bytes
+// (obs::EventKind, obs::Severity, obs::HealthStatus).
 constexpr uint8_t kMinWireEventKind = 1;
 constexpr uint8_t kMaxWireEventKind = 11;  // through profile_snapshot
 constexpr uint8_t kMaxWireSeverity = 2;
 constexpr uint8_t kMaxWireHealthStatus = 2;
-// Minimum payload bytes of each variable-count entry, bounding hostile
-// counts before a reserve: an event is 2 flag bytes + wall_ms + two empty
-// strings; a sample is a fixed 65-byte block; a health section is the
-// status byte + five i64 counters + two empty vectors.
-constexpr size_t kMinWireEventBytes = 18;
-constexpr size_t kWireHealthSampleBytes = 65;
-constexpr size_t kMinNodeHealthBytes = 49;
 
-void PutWireEvent(const WireEvent& event, std::vector<uint8_t>* out) {
-  PutU8(event.kind, out);
-  PutU8(event.severity, out);
-  PutI64(event.wall_ms, out);
-  PutString(event.node, out);
-  PutString(event.detail, out);
+template <class Io>
+bool Layout(Io& io, WireEvent& m) {
+  return Fields(io, InRange(m.kind, kMinWireEventKind, kMaxWireEventKind),
+                InRange(m.severity, 0, kMaxWireSeverity), m.wall_ms, m.node,
+                m.detail);
 }
 
-bool GetWireEvent(Reader* reader, WireEvent* event) {
-  return reader->GetU8(&event->kind) && event->kind >= kMinWireEventKind &&
-         event->kind <= kMaxWireEventKind &&
-         reader->GetU8(&event->severity) &&
-         event->severity <= kMaxWireSeverity &&
-         reader->GetI64(&event->wall_ms) && reader->GetString(&event->node) &&
-         reader->GetString(&event->detail);
+template <class Io>
+bool Layout(Io& io, WireHealthSample& m) {
+  return Fields(io, m.wall_ms, m.interval_s, m.requests_per_s,
+                m.failovers_per_s, m.cache_hit_rate, m.p95_wall_ms,
+                m.queue_depth_max, m.queue_utilization,
+                InRange(m.status, 0, kMaxWireHealthStatus));
 }
 
-void PutHealthSample(const WireHealthSample& sample,
-                     std::vector<uint8_t>* out) {
-  PutI64(sample.wall_ms, out);
-  PutDouble(sample.interval_s, out);
-  PutDouble(sample.requests_per_s, out);
-  PutDouble(sample.failovers_per_s, out);
-  PutDouble(sample.cache_hit_rate, out);
-  PutDouble(sample.p95_wall_ms, out);
-  PutU64(sample.queue_depth_max, out);
-  PutDouble(sample.queue_utilization, out);
-  PutU8(sample.status, out);
+template <class Io>
+bool Layout(Io& io, NodeHealth& m) {
+  return Fields(io, InRange(m.status, 0, kMaxWireHealthStatus), m.completed,
+                m.failovers, m.divergence_checks, m.divergence_mismatches,
+                m.events_total, m.series, m.events);
 }
 
-bool GetHealthSample(Reader* reader, WireHealthSample* sample) {
-  return reader->GetI64(&sample->wall_ms) &&
-         reader->GetDouble(&sample->interval_s) &&
-         reader->GetDouble(&sample->requests_per_s) &&
-         reader->GetDouble(&sample->failovers_per_s) &&
-         reader->GetDouble(&sample->cache_hit_rate) &&
-         reader->GetDouble(&sample->p95_wall_ms) &&
-         reader->GetU64(&sample->queue_depth_max) &&
-         reader->GetDouble(&sample->queue_utilization) &&
-         reader->GetU8(&sample->status) &&
-         sample->status <= kMaxWireHealthStatus;
+template <class Io>
+bool Layout(Io& io, WireAttrProfile& m) {
+  return Fields(io, m.attr, m.name, m.launches, m.work_units,
+                m.speculative_launches, m.wasted_work, m.useful_completions);
 }
 
-void PutNodeHealth(const NodeHealth& node, std::vector<uint8_t>* out) {
-  PutU8(node.status, out);
-  PutI64(node.completed, out);
-  PutI64(node.failovers, out);
-  PutI64(node.divergence_checks, out);
-  PutI64(node.divergence_mismatches, out);
-  PutI64(node.events_total, out);
-  PutU32(static_cast<uint32_t>(node.series.size()), out);
-  for (const WireHealthSample& sample : node.series) {
-    PutHealthSample(sample, out);
-  }
-  PutU32(static_cast<uint32_t>(node.events.size()), out);
-  for (const WireEvent& event : node.events) PutWireEvent(event, out);
+template <class Io>
+bool Layout(Io& io, WireCondProfile& m) {
+  return Fields(io, m.attr, m.name, m.evals, m.true_outcomes,
+                m.false_outcomes, m.unknown_outcomes, m.eager_disables);
 }
 
-bool GetNodeHealth(Reader* reader, const std::vector<uint8_t>& payload,
-                   NodeHealth* node) {
-  uint32_t num_samples;
-  if (!reader->GetU8(&node->status) || node->status > kMaxWireHealthStatus ||
-      !reader->GetI64(&node->completed) ||
-      !reader->GetI64(&node->failovers) ||
-      !reader->GetI64(&node->divergence_checks) ||
-      !reader->GetI64(&node->divergence_mismatches) ||
-      !reader->GetI64(&node->events_total) || !reader->GetU32(&num_samples)) {
-    return false;
-  }
-  if (num_samples > payload.size() / kWireHealthSampleBytes) return false;
-  node->series.clear();
-  node->series.reserve(num_samples);
-  for (uint32_t i = 0; i < num_samples; ++i) {
-    WireHealthSample sample;
-    if (!GetHealthSample(reader, &sample)) return false;
-    node->series.push_back(sample);
-  }
-  uint32_t num_events;
-  if (!reader->GetU32(&num_events)) return false;
-  if (num_events > payload.size() / kMinWireEventBytes) return false;
-  node->events.clear();
-  node->events.reserve(num_events);
-  for (uint32_t i = 0; i < num_events; ++i) {
-    WireEvent event;
-    if (!GetWireEvent(reader, &event)) return false;
-    node->events.push_back(std::move(event));
-  }
-  return true;
+template <class Io>
+bool Layout(Io& io, WireClassProfile& m) {
+  return Fields(io, m.class_key, m.requests, m.work, m.wasted_work,
+                m.cache_hits, m.cache_misses);
 }
 
-// --- Profile-section helpers. Minimum bytes per variable-count entry,
-// bounding hostile counts before a reserve: an attr/cond row is a u32 id +
-// an empty string + five i64 counters; a class row is a fixed 48-byte
-// block; a profile section is sample_period + two i64 counters + three
-// empty vectors + an empty plan_dot.
-constexpr size_t kMinWireAttrProfileBytes = 48;
-constexpr size_t kMinWireCondProfileBytes = 48;
-constexpr size_t kWireClassProfileBytes = 48;
-constexpr size_t kMinNodeProfileBytes = 40;
-
-void PutWireAttrProfile(const WireAttrProfile& row, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(row.attr), out);
-  PutString(row.name, out);
-  PutI64(row.launches, out);
-  PutI64(row.work_units, out);
-  PutI64(row.speculative_launches, out);
-  PutI64(row.wasted_work, out);
-  PutI64(row.useful_completions, out);
+template <class Io>
+bool Layout(Io& io, NodeProfile& m) {
+  return Fields(io, m.sample_period, m.profiled_requests, m.total_requests,
+                m.attrs, m.conds, m.classes, m.plan_dot);
 }
 
-bool GetWireAttrProfile(Reader* reader, WireAttrProfile* row) {
-  uint32_t attr;
-  if (!reader->GetU32(&attr) || !reader->GetString(&row->name) ||
-      !reader->GetI64(&row->launches) || !reader->GetI64(&row->work_units) ||
-      !reader->GetI64(&row->speculative_launches) ||
-      !reader->GetI64(&row->wasted_work) ||
-      !reader->GetI64(&row->useful_completions)) {
-    return false;
-  }
-  row->attr = static_cast<AttributeId>(attr);
-  return true;
+// A STATS section mask: any bit beyond the known sections is malformed.
+template <class Io>
+bool SectionMask(Io& io, uint8_t& sections) {
+  return io.Word(sections) && io.Check((sections & ~kStatsAllSections) == 0);
 }
 
-void PutWireCondProfile(const WireCondProfile& row, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(row.attr), out);
-  PutString(row.name, out);
-  PutI64(row.evals, out);
-  PutI64(row.true_outcomes, out);
-  PutI64(row.false_outcomes, out);
-  PutI64(row.unknown_outcomes, out);
-  PutI64(row.eager_disables, out);
-}
-
-bool GetWireCondProfile(Reader* reader, WireCondProfile* row) {
-  uint32_t attr;
-  if (!reader->GetU32(&attr) || !reader->GetString(&row->name) ||
-      !reader->GetI64(&row->evals) || !reader->GetI64(&row->true_outcomes) ||
-      !reader->GetI64(&row->false_outcomes) ||
-      !reader->GetI64(&row->unknown_outcomes) ||
-      !reader->GetI64(&row->eager_disables)) {
-    return false;
-  }
-  row->attr = static_cast<AttributeId>(attr);
-  return true;
-}
-
-void PutWireClassProfile(const WireClassProfile& row,
-                         std::vector<uint8_t>* out) {
-  PutU64(row.class_key, out);
-  PutI64(row.requests, out);
-  PutI64(row.work, out);
-  PutI64(row.wasted_work, out);
-  PutI64(row.cache_hits, out);
-  PutI64(row.cache_misses, out);
-}
-
-bool GetWireClassProfile(Reader* reader, WireClassProfile* row) {
-  return reader->GetU64(&row->class_key) && reader->GetI64(&row->requests) &&
-         reader->GetI64(&row->work) && reader->GetI64(&row->wasted_work) &&
-         reader->GetI64(&row->cache_hits) && reader->GetI64(&row->cache_misses);
-}
-
-void PutNodeProfile(const NodeProfile& node, std::vector<uint8_t>* out) {
-  PutU64(node.sample_period, out);
-  PutI64(node.profiled_requests, out);
-  PutI64(node.total_requests, out);
-  PutU32(static_cast<uint32_t>(node.attrs.size()), out);
-  for (const WireAttrProfile& row : node.attrs) PutWireAttrProfile(row, out);
-  PutU32(static_cast<uint32_t>(node.conds.size()), out);
-  for (const WireCondProfile& row : node.conds) PutWireCondProfile(row, out);
-  PutU32(static_cast<uint32_t>(node.classes.size()), out);
-  for (const WireClassProfile& row : node.classes) {
-    PutWireClassProfile(row, out);
-  }
-  PutString(node.plan_dot, out);
-}
-
-bool GetNodeProfile(Reader* reader, const std::vector<uint8_t>& payload,
-                    NodeProfile* node) {
-  uint32_t num_attrs;
-  if (!reader->GetU64(&node->sample_period) ||
-      !reader->GetI64(&node->profiled_requests) ||
-      !reader->GetI64(&node->total_requests) || !reader->GetU32(&num_attrs)) {
-    return false;
-  }
-  if (num_attrs > payload.size() / kMinWireAttrProfileBytes) return false;
-  node->attrs.clear();
-  node->attrs.reserve(num_attrs);
-  for (uint32_t i = 0; i < num_attrs; ++i) {
-    WireAttrProfile row;
-    if (!GetWireAttrProfile(reader, &row)) return false;
-    node->attrs.push_back(std::move(row));
-  }
-  uint32_t num_conds;
-  if (!reader->GetU32(&num_conds)) return false;
-  if (num_conds > payload.size() / kMinWireCondProfileBytes) return false;
-  node->conds.clear();
-  node->conds.reserve(num_conds);
-  for (uint32_t i = 0; i < num_conds; ++i) {
-    WireCondProfile row;
-    if (!GetWireCondProfile(reader, &row)) return false;
-    node->conds.push_back(std::move(row));
-  }
-  uint32_t num_classes;
-  if (!reader->GetU32(&num_classes)) return false;
-  if (num_classes > payload.size() / kWireClassProfileBytes) return false;
-  node->classes.clear();
-  node->classes.reserve(num_classes);
-  for (uint32_t i = 0; i < num_classes; ++i) {
-    WireClassProfile row;
-    if (!GetWireClassProfile(reader, &row)) return false;
-    node->classes.push_back(row);
-  }
-  return reader->GetString(&node->plan_dot);
+template <class Io>
+bool Layout(Io& io, StatsRequest& m) {
+  return io.Word(m.request_id) && SectionMask(io, m.sections);
 }
 
 // A STATS node entry: identity, then the sections `sections` names, in
-// bit order. The smallest entry is an empty node_id + the is_router byte
-// + the requested sections at their minimum sizes.
-size_t MinNodeStatsBytes(uint8_t sections) {
-  return 5 + ((sections & kStatsMetrics) ? 4 : 0) +
-         ((sections & kStatsHealth) ? kMinNodeHealthBytes : 0) +
-         ((sections & kStatsProfile) ? kMinNodeProfileBytes : 0);
+// bit order.
+template <class Io>
+bool Layout(Io& io, NodeStats& m, uint8_t sections) {
+  return Fields(io, m.node_id, InRange(m.is_router, 0, 1)) &&
+         Optional(io, sections & kStatsMetrics, m.metrics) &&
+         Optional(io, sections & kStatsHealth, m.health) &&
+         Optional(io, sections & kStatsProfile, m.profile);
 }
 
-void PutNodeStats(const NodeStats& node, uint8_t sections,
-                  std::vector<uint8_t>* out) {
-  PutString(node.node_id, out);
-  PutU8(node.is_router, out);
-  if (sections & kStatsMetrics) PutString(node.metrics, out);
-  if (sections & kStatsHealth) PutNodeHealth(node.health, out);
-  if (sections & kStatsProfile) PutNodeProfile(node.profile, out);
+template <class Io>
+bool Layout(Io& io, StatsInfo& m) {
+  return io.Word(m.request_id) && SectionMask(io, m.sections) &&
+         Layout(io, m.self, m.sections) &&
+         Layout(io, m.backends, m.sections);
 }
 
-bool GetNodeStats(Reader* reader, const std::vector<uint8_t>& payload,
-                  uint8_t sections, NodeStats* node) {
-  return reader->GetString(&node->node_id) &&
-         reader->GetU8(&node->is_router) && node->is_router <= 1 &&
-         (!(sections & kStatsMetrics) || reader->GetString(&node->metrics)) &&
-         (!(sections & kStatsHealth) ||
-          GetNodeHealth(reader, payload, &node->health)) &&
-         (!(sections & kStatsProfile) ||
-          GetNodeProfile(reader, payload, &node->profile));
+// --- Frames.
+
+// Appends a frame header, returning its offset; the payload is then
+// appended in place and SealFrame patches in its length.
+size_t BeginFrame(uint8_t type, std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  const uint8_t header[kFrameHeaderBytes] = {kMagic0, kMagic1, kWireVersion,
+                                             type};
+  out->insert(out->end(), header, header + kFrameHeaderBytes);
+  return at;
 }
 
-bool GetIngressStats(Reader* reader, runtime::IngressStats* s) {
-  return reader->GetI64(&s->connections_opened) &&
-         reader->GetI64(&s->connections_closed) &&
-         reader->GetI64(&s->requests_accepted) &&
-         reader->GetI64(&s->requests_rejected_busy) &&
-         reader->GetI64(&s->requests_rejected_shutdown) &&
-         reader->GetI64(&s->decode_errors) &&
-         reader->GetI64(&s->protocol_errors) &&
-         reader->GetI64(&s->info_requests) && reader->GetI64(&s->bytes_in) &&
-         reader->GetI64(&s->bytes_out) &&
-         reader->GetI64(&s->outbox_inflight_hwm) &&
-         reader->GetI64(&s->outbox_bytes_written) &&
-         reader->GetI64(&s->outbox_write_stalls);
+void SealFrame(size_t at, std::vector<uint8_t>* out) {
+  StoreLe(static_cast<uint32_t>(out->size() - at - kFrameHeaderBytes),
+          out->data() + at + 4);
+}
+
+template <class T>
+size_t PayloadBytes(const T& msg) {
+  Sizer sizer;
+  Layout(sizer, const_cast<T&>(msg));
+  return sizer.bytes;
+}
+
+template <class T>
+void Encode(MsgType type, const T& msg, std::vector<uint8_t>* out) {
+  const size_t frame = BeginFrame(static_cast<uint8_t>(type), out);
+  Writer writer(out);
+  Layout(writer, const_cast<T&>(msg));
+  SealFrame(frame, out);
+}
+
+template <class T>
+bool Decode(const std::vector<uint8_t>& payload, T* out) {
+  Reader reader(payload);
+  return Layout(reader, *out) && reader.Done();
 }
 
 }  // namespace
@@ -569,482 +606,119 @@ const char* ToString(WireError error) {
 }
 
 void EncodeSubmit(const SubmitRequest& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kSubmit, out);
-  PutU64(msg.request_id, out);
-  PutU64(msg.seed, out);
-  uint32_t flags = 0;
-  if (msg.blocking) flags |= kFlagBlocking;
-  if (msg.want_snapshot) flags |= kFlagWantSnapshot;
-  if (msg.has_trace) flags |= kFlagHasTrace;
-  PutU32(flags, out);
-  PutString(msg.strategy, out);
-  PutU32(static_cast<uint32_t>(msg.sources.size()), out);
-  for (const auto& [attr, value] : msg.sources) {
-    PutU32(static_cast<uint32_t>(attr), out);
-    PutValue(value, out);
-  }
-  if (msg.has_trace) {
-    PutU64(msg.trace_id, out);
-    PutU8(0, out);  // trace_flags, reserved; receivers reject nonzero
-  }
-  SealFrame(frame, out);
-}
-
-bool DecodeSubmit(const std::vector<uint8_t>& payload, SubmitRequest* out) {
-  Reader reader(payload);
-  uint32_t flags, num_sources;
-  if (!reader.GetU64(&out->request_id) || !reader.GetU64(&out->seed) ||
-      !reader.GetU32(&flags) || !reader.GetString(&out->strategy) ||
-      !reader.GetU32(&num_sources)) {
-    return false;
-  }
-  if ((flags & ~kKnownFlags) != 0) return false;
-  out->blocking = (flags & kFlagBlocking) != 0;
-  out->want_snapshot = (flags & kFlagWantSnapshot) != 0;
-  out->has_trace = (flags & kFlagHasTrace) != 0;
-  out->trace_id = 0;
-  // An attacker-controlled count must not drive a huge reserve; each
-  // binding is at least 5 payload bytes, so the payload length bounds it.
-  if (num_sources > payload.size() / 5) return false;
-  out->sources.clear();
-  out->sources.reserve(num_sources);
-  for (uint32_t i = 0; i < num_sources; ++i) {
-    uint32_t attr;
-    Value value;
-    if (!reader.GetU32(&attr) || !reader.GetValue(&value)) return false;
-    out->sources.emplace_back(static_cast<AttributeId>(attr),
-                              std::move(value));
-  }
-  if (out->has_trace) {
-    uint8_t trace_flags;
-    if (!reader.GetU64(&out->trace_id) || !reader.GetU8(&trace_flags) ||
-        trace_flags != 0) {
-      return false;
-    }
-  }
-  return reader.Done();
+  Encode(MsgType::kSubmit, msg, out);
 }
 
 void EncodeBatchSubmit(const BatchSubmitRequest& msg,
                        std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kBatchSubmit, out);
-  // request_id_base leads the payload at offset 0 like every correlation
-  // id, so PeekRequestId attributes even an undecodable batch.
-  PutU64(msg.request_id_base, out);
-  uint32_t flags = 0;
-  if (msg.blocking) flags |= kFlagBlocking;
-  if (msg.want_snapshot) flags |= kFlagWantSnapshot;
-  PutU32(flags, out);
-  PutString(msg.strategy, out);
-  PutU32(static_cast<uint32_t>(msg.items.size()), out);
-  for (const BatchItem& item : msg.items) {
-    PutU64(item.seed, out);
-    PutU32(static_cast<uint32_t>(item.sources.size()), out);
-    for (const auto& [attr, value] : item.sources) {
-      PutU32(static_cast<uint32_t>(attr), out);
-      PutValue(value, out);
-    }
+  Encode(MsgType::kBatchSubmit, msg, out);
+}
+
+void EncodeSubmitResult(const SubmitResult& msg, std::vector<uint8_t>* out) {
+  // Reserve the whole frame once. Growth stays at least geometric, so a
+  // caller appending many frames to one buffer stays linear.
+  const size_t need = out->size() + kFrameHeaderBytes + PayloadBytes(msg);
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
   }
-  SealFrame(frame, out);
+  Encode(MsgType::kSubmitResult, msg, out);
+}
+
+void EncodeError(const ErrorReply& msg, std::vector<uint8_t>* out) {
+  Encode(MsgType::kError, msg, out);
+}
+
+void EncodeInfoRequest(std::vector<uint8_t>* out) {
+  SealFrame(BeginFrame(static_cast<uint8_t>(MsgType::kInfoRequest), out),
+            out);
+}
+
+void EncodeInfo(const ServerInfo& msg, std::vector<uint8_t>* out) {
+  Encode(MsgType::kInfo, msg, out);
+}
+
+void EncodeGoodbye(std::vector<uint8_t>* out) {
+  SealFrame(BeginFrame(static_cast<uint8_t>(MsgType::kGoodbye), out), out);
+}
+
+void EncodeGoodbyeAck(std::vector<uint8_t>* out) {
+  SealFrame(BeginFrame(static_cast<uint8_t>(MsgType::kGoodbyeAck), out),
+            out);
+}
+
+void EncodeStatsRequest(const StatsRequest& msg, std::vector<uint8_t>* out) {
+  Encode(MsgType::kStatsRequest, msg, out);
+}
+
+void EncodeStats(const StatsInfo& msg, std::vector<uint8_t>* out) {
+  Encode(MsgType::kStats, msg, out);
+}
+
+bool DecodeSubmit(const std::vector<uint8_t>& payload, SubmitRequest* out) {
+  return Decode(payload, out);
 }
 
 bool DecodeBatchSubmit(const std::vector<uint8_t>& payload,
                        BatchSubmitRequest* out) {
-  Reader reader(payload);
-  uint32_t flags, num_items;
-  if (!reader.GetU64(&out->request_id_base) || !reader.GetU32(&flags) ||
-      !reader.GetString(&out->strategy) || !reader.GetU32(&num_items)) {
-    return false;
-  }
-  // Batches share the singleton flag word but carry no trace-context
-  // extension, so kFlagHasTrace is out of range here, not just unknown.
-  if ((flags & ~(kFlagBlocking | kFlagWantSnapshot)) != 0) return false;
-  out->blocking = (flags & kFlagBlocking) != 0;
-  out->want_snapshot = (flags & kFlagWantSnapshot) != 0;
-  // The ticket range base + count must not wrap uint64 (responses carry
-  // base + i), and an item is at least 12 payload bytes (seed + empty
-  // source count), bounding a hostile count before the reserve.
-  if (num_items > payload.size() / 12) return false;
-  if (out->request_id_base > UINT64_MAX - num_items) return false;
-  out->items.clear();
-  out->items.reserve(num_items);
-  for (uint32_t i = 0; i < num_items; ++i) {
-    BatchItem item;
-    uint32_t num_sources;
-    if (!reader.GetU64(&item.seed) || !reader.GetU32(&num_sources)) {
-      return false;
-    }
-    if (num_sources > payload.size() / 5) return false;
-    item.sources.reserve(num_sources);
-    for (uint32_t j = 0; j < num_sources; ++j) {
-      uint32_t attr;
-      Value value;
-      if (!reader.GetU32(&attr) || !reader.GetValue(&value)) return false;
-      item.sources.emplace_back(static_cast<AttributeId>(attr),
-                                std::move(value));
-    }
-    out->items.push_back(std::move(item));
-  }
-  return reader.Done();
-}
-
-void EncodeSubmitResult(const SubmitResult& msg, std::vector<uint8_t>* out) {
-  // Reserve the whole frame once: the header, 52 fixed body bytes, the
-  // strategy string, the snapshot flag and entries, then the trailer
-  // (trace id, spans, count). Growth stays at least geometric, so a caller
-  // appending many frames to one buffer stays linear.
-  size_t bytes = kFrameHeaderBytes + 52 + 4 + msg.strategy.size() + 1 + 8 +
-                 kWireSpanBytes * std::min<size_t>(msg.spans.size(), 255) +
-                 1;
-  if (msg.has_snapshot) {
-    bytes += 4;
-    for (const SnapshotEntry& entry : msg.snapshot) {
-      bytes += 5 + ValueWireBytes(entry.value);
-    }
-  }
-  const size_t need = out->size() + bytes;
-  if (need > out->capacity()) {
-    out->reserve(std::max(need, 2 * out->capacity()));
-  }
-  const size_t frame = BeginFrame(MsgType::kSubmitResult, out);
-  PutU64(msg.request_id, out);
-  PutU32(static_cast<uint32_t>(msg.shard), out);
-  PutI64(msg.work, out);
-  PutI64(msg.wasted_work, out);
-  PutDouble(msg.response_time, out);
-  PutU32(static_cast<uint32_t>(msg.queries_launched), out);
-  PutU32(static_cast<uint32_t>(msg.speculative_launches), out);
-  PutU64(msg.fingerprint, out);
-  PutString(msg.strategy, out);
-  PutU8(msg.has_snapshot ? 1 : 0, out);
-  if (msg.has_snapshot) {
-    PutU32(static_cast<uint32_t>(msg.snapshot.size()), out);
-    for (const SnapshotEntry& entry : msg.snapshot) {
-      PutU32(static_cast<uint32_t>(entry.attr), out);
-      PutU8(static_cast<uint8_t>(entry.state), out);
-      PutValue(entry.value, out);
-    }
-  }
-  // v4 timing trailer, always present, count-terminated so a relaying
-  // router can append spans in place (AppendResultSpan). The count byte
-  // caps spans at 255 — far above the 7-kind taxonomy times any sane
-  // router depth; excess spans are dropped rather than corrupting framing.
-  PutU64(msg.trace_id, out);
-  const size_t num_spans = std::min<size_t>(msg.spans.size(), 255);
-  for (size_t i = 0; i < num_spans; ++i) {
-    PutU8(msg.spans[i].kind, out);
-    PutU64(msg.spans[i].start_ns, out);
-    PutU64(msg.spans[i].duration_ns, out);
-  }
-  PutU8(static_cast<uint8_t>(num_spans), out);
-  SealFrame(frame, out);
+  return Decode(payload, out);
 }
 
 bool DecodeSubmitResult(const std::vector<uint8_t>& payload,
                         SubmitResult* out) {
-  Reader reader(payload);
-  uint32_t shard, queries, speculative;
-  uint8_t has_snapshot;
-  if (!reader.GetU64(&out->request_id) || !reader.GetU32(&shard) ||
-      !reader.GetI64(&out->work) || !reader.GetI64(&out->wasted_work) ||
-      !reader.GetDouble(&out->response_time) || !reader.GetU32(&queries) ||
-      !reader.GetU32(&speculative) || !reader.GetU64(&out->fingerprint) ||
-      !reader.GetString(&out->strategy) || !reader.GetU8(&has_snapshot)) {
-    return false;
-  }
-  if (has_snapshot > 1) return false;
-  out->shard = static_cast<int32_t>(shard);
-  out->queries_launched = static_cast<int32_t>(queries);
-  out->speculative_launches = static_cast<int32_t>(speculative);
-  out->has_snapshot = has_snapshot == 1;
-  out->snapshot.clear();
-  if (out->has_snapshot) {
-    uint32_t count;
-    if (!reader.GetU32(&count) || count > payload.size() / 6) return false;
-    out->snapshot.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      SnapshotEntry entry;
-      if (!GetSnapshotEntry(&reader, &entry)) return false;
-      out->snapshot.push_back(std::move(entry));
-    }
-  }
-  // Timing trailer: trace_id, then exactly (remaining - 9) / 17 spans as
-  // named by the terminating count byte — anything else is malformed.
-  if (reader.remaining() < kMinTrailerBytes || !reader.GetU64(&out->trace_id)) {
-    return false;
-  }
-  const uint8_t span_count = payload.back();
-  if (reader.remaining() != kWireSpanBytes * span_count + 1) return false;
-  if (out->trace_id == 0 && span_count != 0) return false;
-  out->spans.clear();
-  out->spans.reserve(span_count);
-  for (uint8_t i = 0; i < span_count; ++i) {
-    WireSpan span;
-    if (!reader.GetU8(&span.kind) || span.kind < kMinWireSpanKind ||
-        span.kind > kMaxWireSpanKind || !reader.GetU64(&span.start_ns) ||
-        !reader.GetU64(&span.duration_ns)) {
-      return false;
-    }
-    out->spans.push_back(span);
-  }
-  uint8_t trailing_count;
-  if (!reader.GetU8(&trailing_count)) return false;
-  return reader.Done();
-}
-
-void EncodeError(const ErrorReply& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kError, out);
-  PutU64(msg.request_id, out);
-  PutU16(static_cast<uint16_t>(msg.code), out);
-  PutString(msg.message, out);
-  SealFrame(frame, out);
+  return Decode(payload, out);
 }
 
 bool DecodeError(const std::vector<uint8_t>& payload, ErrorReply* out) {
-  Reader reader(payload);
-  uint16_t code;
-  if (!reader.GetU64(&out->request_id) || !reader.GetU16(&code) ||
-      !reader.GetString(&out->message)) {
-    return false;
-  }
-  if (code == 0 ||
-      code > static_cast<uint16_t>(WireError::kBackendUnavailable)) {
-    return false;
-  }
-  out->code = static_cast<WireError>(code);
-  return reader.Done();
-}
-
-void EncodeInfoRequest(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kInfoRequest, out), out);
-}
-
-void EncodeInfo(const ServerInfo& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kInfo, out);
-  PutU32(static_cast<uint32_t>(msg.num_shards), out);
-  PutString(msg.strategy, out);
-  PutU8(msg.backend, out);
-  PutU64(msg.queue_capacity_per_shard, out);
-  PutI64(msg.completed, out);
-  PutI64(msg.rejected, out);
-  PutI64(msg.cache_hits, out);
-  PutI64(msg.cache_misses, out);
-  PutString(msg.node_id, out);
-  PutU64(msg.fleet_epoch, out);
-  PutIngressStats(msg.ingress, out);
-  PutU8(msg.router.is_router, out);
-  PutU32(static_cast<uint32_t>(msg.router.replicas), out);
-  PutI64(msg.router.failovers, out);
-  PutI64(msg.router.divergence_checks, out);
-  PutI64(msg.router.divergence_mismatches, out);
-  PutI64(msg.router.divergence_incomplete, out);
-  PutU32(static_cast<uint32_t>(msg.router.backends.size()), out);
-  for (const RouterBackendStats& backend : msg.router.backends) {
-    PutString(backend.address, out);
-    PutString(backend.node_id, out);
-    PutU8(backend.connected, out);
-    PutU32(static_cast<uint32_t>(backend.shards), out);
-    PutU32(static_cast<uint32_t>(backend.slot), out);
-    PutU32(static_cast<uint32_t>(backend.replica), out);
-    PutI64(backend.forwarded, out);
-    PutI64(backend.answered, out);
-    PutI64(backend.unavailable, out);
-    PutI64(backend.reconnects, out);
-    PutI64(backend.failovers, out);
-  }
-  PutU8(msg.advisor.enabled, out);
-  PutU64(msg.advisor.fingerprint, out);
-  PutI64(msg.advisor.selections, out);
-  PutI64(msg.advisor.explores, out);
-  PutU32(static_cast<uint32_t>(msg.advisor.by_strategy.size()), out);
-  for (const AdvisorStrategyCount& entry : msg.advisor.by_strategy) {
-    PutString(entry.strategy, out);
-    PutI64(entry.count, out);
-  }
-  SealFrame(frame, out);
+  return Decode(payload, out);
 }
 
 bool DecodeInfo(const std::vector<uint8_t>& payload, ServerInfo* out) {
-  Reader reader(payload);
-  uint32_t shards;
-  if (!reader.GetU32(&shards) || !reader.GetString(&out->strategy) ||
-      !reader.GetU8(&out->backend) ||
-      !reader.GetU64(&out->queue_capacity_per_shard) ||
-      !reader.GetI64(&out->completed) || !reader.GetI64(&out->rejected) ||
-      !reader.GetI64(&out->cache_hits) ||
-      !reader.GetI64(&out->cache_misses) ||
-      !reader.GetString(&out->node_id) ||
-      !reader.GetU64(&out->fleet_epoch) ||
-      !GetIngressStats(&reader, &out->ingress)) {
-    return false;
-  }
-  out->num_shards = static_cast<int32_t>(shards);
-  uint8_t is_router;
-  uint32_t replicas;
-  uint32_t num_backends;
-  if (!reader.GetU8(&is_router) || is_router > 1 ||
-      !reader.GetU32(&replicas) ||
-      !reader.GetI64(&out->router.failovers) ||
-      !reader.GetI64(&out->router.divergence_checks) ||
-      !reader.GetI64(&out->router.divergence_mismatches) ||
-      !reader.GetI64(&out->router.divergence_incomplete) ||
-      !reader.GetU32(&num_backends)) {
-    return false;
-  }
-  out->router.is_router = is_router;
-  out->router.replicas = static_cast<int32_t>(replicas);
-  // Each backend entry is at least 61 payload bytes (two empty strings:
-  // 2×4 length headers + 1 connected + 3×4 shards/slot/replica + 5×8
-  // counters), so the payload length bounds a hostile count before the
-  // reserve.
-  if (num_backends > payload.size() / 61) return false;
-  out->router.backends.clear();
-  out->router.backends.reserve(num_backends);
-  for (uint32_t i = 0; i < num_backends; ++i) {
-    RouterBackendStats backend;
-    uint32_t backend_shards;
-    uint32_t slot;
-    uint32_t replica;
-    if (!reader.GetString(&backend.address) ||
-        !reader.GetString(&backend.node_id) ||
-        !reader.GetU8(&backend.connected) || backend.connected > 1 ||
-        !reader.GetU32(&backend_shards) || !reader.GetU32(&slot) ||
-        !reader.GetU32(&replica) ||
-        !reader.GetI64(&backend.forwarded) ||
-        !reader.GetI64(&backend.answered) ||
-        !reader.GetI64(&backend.unavailable) ||
-        !reader.GetI64(&backend.reconnects) ||
-        !reader.GetI64(&backend.failovers)) {
-      return false;
-    }
-    backend.shards = static_cast<int32_t>(backend_shards);
-    backend.slot = static_cast<int32_t>(slot);
-    backend.replica = static_cast<int32_t>(replica);
-    out->router.backends.push_back(std::move(backend));
-  }
-  uint32_t num_counts;
-  if (!reader.GetU8(&out->advisor.enabled) || out->advisor.enabled > 1 ||
-      !reader.GetU64(&out->advisor.fingerprint) ||
-      !reader.GetI64(&out->advisor.selections) ||
-      !reader.GetI64(&out->advisor.explores) || !reader.GetU32(&num_counts)) {
-    return false;
-  }
-  // Each histogram row is at least 12 payload bytes (4-byte string header
-  // + 8-byte count), bounding a hostile count before the reserve.
-  if (num_counts > payload.size() / 12) return false;
-  out->advisor.by_strategy.clear();
-  out->advisor.by_strategy.reserve(num_counts);
-  for (uint32_t i = 0; i < num_counts; ++i) {
-    AdvisorStrategyCount entry;
-    if (!reader.GetString(&entry.strategy) || !reader.GetI64(&entry.count)) {
-      return false;
-    }
-    out->advisor.by_strategy.push_back(std::move(entry));
-  }
-  return reader.Done();
-}
-
-uint64_t ReadLe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-void WriteLe64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint16_t ReadLe16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint64_t PeekRequestId(const std::vector<uint8_t>& payload) {
-  return payload.size() >= 8 ? ReadLe64(payload.data()) : 0;
-}
-
-void EncodeRawFrame(uint8_t type, const std::vector<uint8_t>& payload,
-                    std::vector<uint8_t>* out) {
-  PutU8(kMagic0, out);
-  PutU8(kMagic1, out);
-  PutU8(kWireVersion, out);
-  PutU8(type, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
-}
-
-void EncodeGoodbye(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kGoodbye, out), out);
-}
-
-void EncodeGoodbyeAck(std::vector<uint8_t>* out) {
-  SealFrame(BeginFrame(MsgType::kGoodbyeAck, out), out);
-}
-
-void EncodeStatsRequest(const StatsRequest& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kStatsRequest, out);
-  PutU64(msg.request_id, out);
-  PutU8(msg.sections, out);
-  SealFrame(frame, out);
+  return Decode(payload, out);
 }
 
 bool DecodeStatsRequest(const std::vector<uint8_t>& payload,
                         StatsRequest* out) {
-  Reader reader(payload);
-  return reader.GetU64(&out->request_id) && reader.GetU8(&out->sections) &&
-         (out->sections & ~kStatsAllSections) == 0 && reader.Done();
-}
-
-void EncodeStats(const StatsInfo& msg, std::vector<uint8_t>* out) {
-  const size_t frame = BeginFrame(MsgType::kStats, out);
-  PutU64(msg.request_id, out);
-  PutU8(msg.sections, out);
-  PutNodeStats(msg.self, msg.sections, out);
-  PutU32(static_cast<uint32_t>(msg.backends.size()), out);
-  for (const NodeStats& backend : msg.backends) {
-    PutNodeStats(backend, msg.sections, out);
-  }
-  SealFrame(frame, out);
+  return Decode(payload, out);
 }
 
 bool DecodeStats(const std::vector<uint8_t>& payload, StatsInfo* out) {
-  Reader reader(payload);
-  uint32_t num_backends;
-  out->self = NodeStats{};  // sections the mask leaves out stay default
-  if (!reader.GetU64(&out->request_id) || !reader.GetU8(&out->sections) ||
-      (out->sections & ~kStatsAllSections) != 0 ||
-      !GetNodeStats(&reader, payload, out->sections, &out->self) ||
-      !reader.GetU32(&num_backends) ||
-      num_backends > payload.size() / MinNodeStatsBytes(out->sections)) {
-    return false;
-  }
-  out->backends.clear();
-  out->backends.reserve(num_backends);
-  for (uint32_t i = 0; i < num_backends; ++i) {
-    NodeStats backend;
-    if (!GetNodeStats(&reader, payload, out->sections, &backend)) return false;
-    out->backends.push_back(std::move(backend));
-  }
-  return reader.Done();
+  return Decode(payload, out);
+}
+
+uint64_t ReadLe64(const uint8_t* p) { return LoadLe<uint64_t>(p); }
+
+void WriteLe64(uint64_t v, uint8_t* p) { StoreLe(v, p); }
+
+uint16_t ReadLe16(const uint8_t* p) { return LoadLe<uint16_t>(p); }
+
+uint64_t PeekRequestId(const std::vector<uint8_t>& payload) {
+  return payload.size() >= kRequestIdBytes ? ReadLe64(payload.data()) : 0;
+}
+
+void EncodeRawFrame(uint8_t type, const std::vector<uint8_t>& payload,
+                    std::vector<uint8_t>* out) {
+  const size_t frame = BeginFrame(type, out);
+  out->insert(out->end(), payload.begin(), payload.end());
+  SealFrame(frame, out);
 }
 
 bool AppendResultSpan(std::vector<uint8_t>* payload, uint64_t trace_id,
                       uint8_t kind, uint64_t start_ns, uint64_t duration_ns) {
-  if (payload->size() < kMinTrailerBytes) return false;
+  if (payload->size() < TrailerBytes(0)) return false;
   const uint8_t count = payload->back();
-  if (count == 255) return false;  // trailer saturated; drop the span
-  const size_t trailer_bytes = kMinTrailerBytes + kWireSpanBytes * count;
+  if (count == kMaxWireSpans) return false;  // saturated; drop the span
+  const size_t trailer_bytes = TrailerBytes(count);
   if (payload->size() < trailer_bytes) return false;
   // An untraced backend result (trace_id 0) adopts the appender's id, so
   // the span still belongs to an identified trace downstream.
   uint8_t* trace_id_at = payload->data() + payload->size() - trailer_bytes;
   if (ReadLe64(trace_id_at) == 0) WriteLe64(trace_id, trace_id_at);
-  uint8_t span[kWireSpanBytes];
-  span[0] = kind;
-  WriteLe64(start_ns, span + 1);
-  WriteLe64(duration_ns, span + 9);
-  payload->insert(payload->end() - 1, span, span + kWireSpanBytes);
-  payload->back() = static_cast<uint8_t>(count + 1);
-  return true;
+  // The new span takes the count byte's place, and the bumped count
+  // terminates the payload again.
+  payload->pop_back();
+  Writer writer(payload);
+  WireSpan span{kind, start_ns, duration_ns};
+  return Layout(writer, span) && writer.Word(static_cast<uint8_t>(count + 1));
 }
 
 FrameAssembler::FrameAssembler(uint32_t max_payload_bytes)
@@ -1074,10 +748,7 @@ std::optional<Frame> FrameAssembler::Next() {
     error_ = WireError::kUnsupportedVersion;
     return std::nullopt;
   }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-  }
+  const uint32_t payload_len = LoadLe<uint32_t>(header + 4);
   if (payload_len > max_payload_bytes_) {
     error_ = WireError::kFrameTooLarge;
     return std::nullopt;

@@ -90,7 +90,15 @@ enum class WireError : uint16_t {
 const char* ToString(WireError error);
 
 // --- Typed messages. Field-for-field equality (used by the round-trip
-// property tests) is the defaulted operator== on each struct.
+// property tests) is the defaulted operator== on each struct. Each
+// message's byte layout is one field list in wire_protocol.cc, which
+// drives its encoder, its decoder and its size. The fixed payload offsets
+// below are what the routing tier peeks and patches without decoding;
+// wire_protocol_test reads every one of them back from encoded frames.
+
+// Every submit, batch, result and error payload leads with its u64
+// correlation id (a batch's ticket-range base) at offset 0.
+inline constexpr size_t kRequestIdBytes = 8;
 
 // Client -> server: execute one instance.
 struct SubmitRequest {
@@ -124,6 +132,17 @@ struct SubmitRequest {
 
   friend bool operator==(const SubmitRequest&, const SubmitRequest&) = default;
 };
+
+// SUBMIT payload: request_id u64 | seed u64 | flags u32 | strategy |
+// sources | [trace extension]. The router routes on the seed and turns
+// tracing on by setting the has-trace bit in the flags word's low byte and
+// appending the extension ([trace_id u64][trace_flags u8], always the
+// payload's last bytes when present).
+inline constexpr size_t kSubmitSeedOffset = 8;
+inline constexpr size_t kSubmitFlagsOffset = 16;
+inline constexpr size_t kSubmitPeekBytes = 20;  // through the flags word
+inline constexpr uint8_t kSubmitFlagHasTrace = 0x04;
+inline constexpr size_t kSubmitTraceExtensionBytes = 9;
 
 // One instance inside a BATCH_SUBMIT frame: just the per-request
 // variation (seed + sources). Everything shared — admission mode,
@@ -210,6 +229,12 @@ struct SubmitResult {
   friend bool operator==(const SubmitResult&, const SubmitResult&) = default;
 };
 
+// SUBMIT_RESULT payload: request_id u64 | shard u32 | work i64 |
+// wasted_work i64 | response_time f64 | queries u32 | speculative u32 |
+// fingerprint u64 | ... The router's replica cross-check compares answers
+// by the fingerprint at its fixed offset.
+inline constexpr size_t kResultFingerprintOffset = 44;
+
 // Server -> client: typed failure.
 struct ErrorReply {
   // The request this error answers, or 0 when the failure is not
@@ -220,6 +245,9 @@ struct ErrorReply {
 
   friend bool operator==(const ErrorReply&, const ErrorReply&) = default;
 };
+
+// ERROR payload: request_id u64 | code u16 | message.
+inline constexpr size_t kErrorCodeOffset = 8;
 
 // One downstream server as seen by a routing tier: its address, the
 // identity it reported in the connect-time Info handshake, and the
@@ -522,12 +550,10 @@ void EncodeRawFrame(uint8_t type, const std::vector<uint8_t>& payload,
 bool AppendResultSpan(std::vector<uint8_t>* payload, uint64_t trace_id,
                       uint8_t kind, uint64_t start_ns, uint64_t duration_ns);
 
-// Little-endian peek/poke over raw payload bytes — the single home of the
-// fixed-offset contract that submit/result/error payloads lead with the
-// u64 correlation id (and a submit's seed follows at offset 8). The
-// ingress uses ReadLe64 to answer undecodable submits attributably; the
-// routing tier uses all three to route and translate tickets without
-// decoding message bodies. Callers must bounds-check first.
+// Little-endian peek/poke over raw payload bytes at the fixed offsets
+// declared with the messages above. The routing tier uses them to route
+// and translate tickets without decoding message bodies. Callers must
+// bounds-check first.
 uint64_t ReadLe64(const uint8_t* p);
 void WriteLe64(uint64_t v, uint8_t* p);
 uint16_t ReadLe16(const uint8_t* p);

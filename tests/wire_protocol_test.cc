@@ -800,6 +800,74 @@ TEST(WireProtocolTest, RawReframingIsTheIdentityOnTheStream) {
   EXPECT_EQ(reframed, stream);
 }
 
+// The fixed offsets the routing tier peeks and patches without decoding:
+// each names where its field really lands in an encoded payload.
+TEST(WireProtocolTest, NamedPayloadOffsetsMatchTheEncodedFields) {
+  SubmitRequest submit;
+  submit.request_id = 0x0102030405060708ull;
+  submit.seed = 0x1112131415161718ull;
+  submit.strategy = "PSE100";
+  submit.sources.emplace_back(3, Value::String("abc"));
+  std::vector<uint8_t> stream;
+  EncodeSubmit(submit, &stream);
+  std::vector<uint8_t> payload = PayloadOf(stream);
+  ASSERT_GE(payload.size(), kSubmitPeekBytes);
+  EXPECT_EQ(PeekRequestId(payload), submit.request_id);
+  EXPECT_EQ(ReadLe64(payload.data() + kSubmitSeedOffset), submit.seed);
+  EXPECT_EQ(payload[kSubmitFlagsOffset] & kSubmitFlagHasTrace, 0);
+  EXPECT_EQ(kSubmitPeekBytes, kSubmitFlagsOffset + sizeof(uint32_t));
+
+  // Setting the has-trace bit and appending the extension, as the router
+  // does, yields exactly the payload a traced submit encodes to.
+  submit.has_trace = true;
+  submit.trace_id = 0x2122232425262728ull;
+  payload[kSubmitFlagsOffset] |= kSubmitFlagHasTrace;
+  uint8_t extension[kSubmitTraceExtensionBytes] = {0};
+  WriteLe64(submit.trace_id, extension);
+  payload.insert(payload.end(), extension,
+                 extension + kSubmitTraceExtensionBytes);
+  stream.clear();
+  EncodeSubmit(submit, &stream);
+  EXPECT_EQ(payload, PayloadOf(stream));
+  EXPECT_EQ(ReadLe64(payload.data() + payload.size() -
+                     kSubmitTraceExtensionBytes),
+            submit.trace_id);
+
+  SubmitResult result;
+  result.request_id = 0x3132333435363738ull;
+  result.shard = 5;
+  result.strategy = "PCE0";
+  result.fingerprint = 0x4142434445464748ull;
+  stream.clear();
+  EncodeSubmitResult(result, &stream);
+  payload = PayloadOf(stream);
+  EXPECT_EQ(PeekRequestId(payload), result.request_id);
+  ASSERT_GE(payload.size(), kResultFingerprintOffset + sizeof(uint64_t));
+  EXPECT_EQ(ReadLe64(payload.data() + kResultFingerprintOffset),
+            result.fingerprint);
+
+  const ErrorReply error{0x5152535455565758ull, WireError::kShuttingDown,
+                         "draining"};
+  stream.clear();
+  EncodeError(error, &stream);
+  payload = PayloadOf(stream);
+  EXPECT_EQ(PeekRequestId(payload), error.request_id);
+  EXPECT_EQ(ReadLe16(payload.data() + kErrorCodeOffset),
+            static_cast<uint16_t>(error.code));
+  EXPECT_EQ(kRequestIdBytes, sizeof(uint64_t));
+}
+
+// EncodeSubmitResult sizes its frame before writing it: into an empty
+// buffer it allocates exactly once, exactly the frame.
+TEST(WireProtocolPropertyTest, SubmitResultReservesExactlyItsFrame) {
+  Rng rng(20261020);
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    std::vector<uint8_t> frame;
+    EncodeSubmitResult(RandomSubmitResult(&rng), &frame);
+    EXPECT_EQ(frame.capacity(), frame.size());
+  }
+}
+
 // --- Golden wire bytes. One fully populated instance of every message
 // type, encoded and compared against checked-in hex. Round-trip tests pass
 // any self-consistent layout change; these pin the bytes themselves, so a
