@@ -282,12 +282,8 @@ struct LoopThread {
   }
 };
 
-EventConn::EventConn(uint64_t id, Socket socket, Handlers handlers,
-                     uint32_t max_payload_bytes)
-    : id_(id),
-      socket_(std::move(socket)),
-      assembler_(max_payload_bytes),
-      handlers_(std::move(handlers)) {}
+EventConn::EventConn(uint64_t id, Socket socket, Handlers handlers)
+    : id_(id), socket_(std::move(socket)), handlers_(std::move(handlers)) {}
 
 void SendError(EventConn* conn, uint64_t request_id, WireError code,
                const std::string& message) {
@@ -372,7 +368,7 @@ void EventLoop::Stop() {
   {
     std::unique_lock<std::mutex> lock(retire_mu_);
     retire_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
+        lock, std::chrono::milliseconds(kDrainTimeoutMs),
         [this] { return num_conns_.load(std::memory_order_acquire) == 0; });
   }
   // A peer that never drains its socket does not get to wedge shutdown.
@@ -406,8 +402,7 @@ void EventLoop::Stop() {
 
 std::shared_ptr<EventConn> EventLoop::Add(Socket socket,
                                           EventConn::Handlers handlers,
-                                          std::shared_ptr<void> user,
-                                          uint32_t max_payload_bytes) {
+                                          std::shared_ptr<void> user) {
   if (!running_.load(std::memory_order_acquire) || !socket.valid()) {
     return nullptr;
   }
@@ -418,8 +413,7 @@ std::shared_ptr<EventConn> EventLoop::Add(Socket socket,
           .get();
   std::shared_ptr<EventConn> conn(
       new EventConn(next_conn_id_.fetch_add(1, std::memory_order_relaxed),
-                    std::move(socket), std::move(handlers),
-                    max_payload_bytes));
+                    std::move(socket), std::move(handlers)));
   conn->owner_ = lt;
   conn->user = std::move(user);
   // The outbox doorbell: any thread Pushing an answer posts the conn to

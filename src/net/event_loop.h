@@ -97,12 +97,13 @@ class EventConn : public std::enable_shared_from_this<EventConn> {
   friend class EventLoop;
   friend struct LoopThread;
 
-  EventConn(uint64_t id, Socket socket, Handlers handlers,
-            uint32_t max_payload_bytes);
+  EventConn(uint64_t id, Socket socket, Handlers handlers);
 
   LoopThread* owner_ = nullptr;
   const uint64_t id_;
   Socket socket_;
+  // A frame above kDefaultMaxPayloadBytes kills the conn with
+  // FRAME_TOO_LARGE: framing cannot be trusted past an oversized length.
   FrameAssembler assembler_;
   SessionOutbox outbox_;
   Handlers handlers_;
@@ -141,11 +142,12 @@ class EventLoop {
     // send, see SessionOutbox), so a handful of loop threads carries 10k+
     // connections.
     int num_threads = 0;
-    // How long Stop() waits for graceful closes to flush before
-    // force-closing stragglers (a peer that never drains its socket must
-    // not wedge shutdown).
-    int drain_timeout_ms = 30000;
   };
+
+  // How long Stop() waits for graceful closes to flush before
+  // force-closing stragglers (a peer that never drains its socket must not
+  // wedge shutdown).
+  static constexpr int kDrainTimeoutMs = 10000;
 
   EventLoop();
   explicit EventLoop(Options options);
@@ -157,7 +159,7 @@ class EventLoop {
 
   // Gracefully closes every conn (in-flight answers flushed, see
   // EventConn::BeginGracefulClose), waits for them to retire (up to
-  // drain_timeout_ms, then force-closes in a bounded re-posted loop — a
+  // kDrainTimeoutMs, then force-closes in a bounded re-posted loop — a
   // straggler or late registration cannot wedge shutdown), and joins the
   // threads. Idempotent.
   void Stop();
@@ -173,10 +175,8 @@ class EventLoop {
   // any-thread surface alive — outbox() drops further Pushes, the counters
   // stay readable. The loop-thread-only methods remain loop-thread-only; a
   // caller may not invoke them through this handle.
-  std::shared_ptr<EventConn> Add(
-      Socket socket, EventConn::Handlers handlers,
-      std::shared_ptr<void> user,
-      uint32_t max_payload_bytes = kDefaultMaxPayloadBytes);
+  std::shared_ptr<EventConn> Add(Socket socket, EventConn::Handlers handlers,
+                                 std::shared_ptr<void> user);
 
   size_t num_conns() const;
   int num_threads() const { return static_cast<int>(threads_.size()); }

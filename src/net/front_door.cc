@@ -15,8 +15,7 @@ FrontDoor::FrontDoor(const FrontDoorOptions& options, const char* tag,
       tag_(tag),
       handler_(handler),
       journal_(journal),
-      loop_(EventLoop::Options{options.event_threads,
-                               options.send_timeout_ms}) {
+      loop_(EventLoop::Options{options.event_threads}) {
   // Callbacks over counters the front door maintains anyway, so
   // registering them costs the request path nothing. The byte counters
   // fold across live conns + the closed-session accumulator (scrape-time
@@ -145,8 +144,7 @@ void FrontDoor::AcceptLoop() {
       OnConnClosed(conn, session.get());
     };
     const std::shared_ptr<EventConn> conn =
-        loop_.Add(std::move(socket), std::move(handlers), session,
-                  options_.max_payload_bytes);
+        loop_.Add(std::move(socket), std::move(handlers), session);
     if (conn == nullptr) continue;  // loop stopped under us; socket dropped
     connections_opened_.fetch_add(1, std::memory_order_relaxed);
     if (options_.verbose) {

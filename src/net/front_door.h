@@ -27,13 +27,6 @@ struct FrontDoorOptions {
   // — exposing a front door beyond the host is a deliberate non-goal until
   // there is authentication in front of it.
   uint16_t port = 0;
-  // Per-frame payload ceiling; larger frames kill the connection with
-  // FRAME_TOO_LARGE (framing cannot be trusted past an oversized length).
-  uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  // Upper bound on the shutdown flush: how long Stop() lets graceful
-  // closes drain their outboxes before force-closing stragglers. A client
-  // that stops reading cannot wedge Stop() forever.
-  int send_timeout_ms = 10000;
   // Event-loop threads owning the sockets; 0 picks
   // min(4, hardware_concurrency). See EventLoop::Options::num_threads.
   int event_threads = 0;

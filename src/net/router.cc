@@ -100,8 +100,7 @@ Router::Router(RouterOptions options)
       front_(options_, "router", this, &journal_, &metrics_),
       // One thread carries every backend socket: it only moves bytes, and
       // a single loop keeps the router's thread count fleet-independent.
-      backend_loop_(EventLoop::Options{/*num_threads=*/1,
-                                       options_.send_timeout_ms}) {
+      backend_loop_(EventLoop::Options{/*num_threads=*/1}) {
   // Counters and gauges are callbacks over counters the router maintains
   // anyway, so registering them costs the relay path nothing. Per-backend
   // families are registered in Start(), once the fleet is known.

@@ -91,14 +91,6 @@ Socket Socket::ConnectTcp(const std::string& host, uint16_t port,
   return Socket(fd);
 }
 
-void Socket::SetSendTimeout(int timeout_ms) {
-  if (fd_ < 0 || timeout_ms < 0) return;
-  timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 void Socket::SetRecvTimeout(int timeout_ms) {
   if (fd_ < 0 || timeout_ms < 0) return;
   timeval tv;

@@ -47,10 +47,6 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  // Caps how long one send may block (SO_SNDTIMEO); a timed-out SendAll
-  // returns false. 0 restores "block forever".
-  void SetSendTimeout(int timeout_ms);
-
   // Caps how long one Recv may block (SO_RCVTIMEO); a timed-out Recv
   // returns <0. 0 restores "block forever". The router's dialer bounds its
   // backend Info handshake with this, so a wedged backend cannot stall the
@@ -58,7 +54,7 @@ class Socket {
   void SetRecvTimeout(int timeout_ms);
 
   // Sends the whole buffer, retrying short writes and EINTR. Returns false
-  // once the peer is gone (EPIPE/ECONNRESET/...) or a send timed out.
+  // once the peer is gone (EPIPE/ECONNRESET/...).
   bool SendAll(const void* data, size_t size);
 
   // Receives up to `size` bytes: >0 bytes received, 0 orderly peer close,
