@@ -220,7 +220,9 @@ bool Layout(Io& io, FlagWord<N> flags) {
   uint32_t word = 0;
   for (size_t i = 0; i < N; ++i) word |= uint32_t{*flags.bits[i]} << i;
   if (!io.Word(word) || !io.Check(word >> N == 0)) return false;
-  for (size_t i = 0; i < N; ++i) Store(io, *flags.bits[i], (word >> i & 1) != 0);
+  for (size_t i = 0; i < N; ++i) {
+    Store(io, *flags.bits[i], (word >> i & 1) != 0);
+  }
   return true;
 }
 

@@ -908,8 +908,10 @@ SubmitRequest GoldenSubmit(bool has_trace) {
   SubmitRequest msg;
   msg.request_id = 0x0102030405060708ull;
   msg.seed = 0x1112131415161718ull;
+  // blocking differs from want_snapshot, and has_trace differs from one of
+  // them in each variant, so swapping any two flag bits shows.
   msg.blocking = true;
-  msg.want_snapshot = true;
+  msg.want_snapshot = false;
   msg.strategy = "PSE100";
   msg.sources = GoldenSources();
   msg.has_trace = has_trace;
@@ -1045,7 +1047,7 @@ TEST(WireProtocolGoldenTest, SubmitWithoutTraceMatchesCheckedInBytes) {
   std::vector<uint8_t> stream;
   EncodeSubmit(GoldenSubmit(false), &stream);
   EXPECT_EQ(Hex(stream),
-            "4446090152000000080706050403020118171615141312110300000006000000"
+            "4446090152000000080706050403020118171615141312110100000006000000"
             "5053453130300500000003000000000400000001010500000002feffffffffff"
             "ffff0600000003000000000000f83f0700000004020000006162");
   SubmitRequest out;
@@ -1057,7 +1059,7 @@ TEST(WireProtocolGoldenTest, SubmitWithTraceMatchesCheckedInBytes) {
   std::vector<uint8_t> stream;
   EncodeSubmit(GoldenSubmit(true), &stream);
   EXPECT_EQ(Hex(stream),
-            "444609015b000000080706050403020118171615141312110700000006000000"
+            "444609015b000000080706050403020118171615141312110500000006000000"
             "5053453130300500000003000000000400000001010500000002feffffffffff"
             "ffff0600000003000000000000f83f0700000004020000006162282726252423"
             "222100");
