@@ -258,8 +258,9 @@ size_t MinWireBytes(const Ctx&... ctx) {
 }
 
 // A table: a u32 count, then each element. A decoded count is bounded by
-// how many smallest-possible elements the payload could hold before
-// anything is allocated, so a hostile count cannot drive a huge reserve.
+// how many smallest-possible elements the payload could hold before the
+// reserve, so a hostile count cannot drive a huge one, and elements are
+// constructed only as they parse.
 template <class Io, class T, class... Ctx>
 bool Layout(Io& io, std::vector<T>& items, const Ctx&... ctx) {
   uint32_t count = static_cast<uint32_t>(items.size());
@@ -267,7 +268,11 @@ bool Layout(Io& io, std::vector<T>& items, const Ctx&... ctx) {
   if constexpr (Io::kReading) {
     if (!io.Check(count <= io.size() / MinWireBytes<T>(ctx...))) return false;
     items.clear();
-    items.resize(count);
+    items.reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!Layout(io, items.emplace_back(), ctx...)) return false;
+    }
+    return true;
   }
   for (T& item : items) {
     if (!Layout(io, item, ctx...)) return false;

@@ -884,7 +884,8 @@ std::string Hex(const std::vector<uint8_t>& bytes) {
   return out;
 }
 
-// Splits `frame` off a stream of exactly one frame and checks its type.
+// The one frame `stream` holds, split off by a FrameAssembler, with its
+// type checked.
 Frame OnlyFrame(const std::vector<uint8_t>& stream, MsgType type) {
   FrameAssembler assembler;
   assembler.Feed(stream.data(), stream.size());
