@@ -64,9 +64,13 @@ class Writer {
 
   template <class F>
   bool Word(const F& v) {
-    const size_t at = out_->size();
-    out_->resize(at + sizeof(F));
-    StoreLe(std::bit_cast<WireWord<F>>(v), out_->data() + at);
+    if constexpr (sizeof(F) == 1) {
+      out_->push_back(std::bit_cast<uint8_t>(v));
+    } else {
+      const size_t at = out_->size();
+      out_->resize(at + sizeof(F));
+      StoreLe(std::bit_cast<WireWord<F>>(v), out_->data() + at);
+    }
     return true;
   }
 
@@ -283,10 +287,12 @@ bool Layout(Io& io, std::vector<T>& items, const Ctx&... ctx) {
 // --- The message layouts.
 
 // One alternative of a Value: its payload field, and on decode the Value
-// rebuilt from it.
+// rebuilt from it (only then: encoding and sizing build no Value).
 template <class Io, class F, class Make>
 bool ValueAs(Io& io, Value& value, F field, Make make) {
-  return Layout(io, field) && Store(io, value, make(std::move(field)));
+  if (!Layout(io, field)) return false;
+  if constexpr (Io::kReading) value = make(std::move(field));
+  return true;
 }
 
 template <class Io>
@@ -301,7 +307,8 @@ bool Layout(Io& io, Value& value) {
   constexpr bool kReading = Io::kReading;
   switch (static_cast<Value::Type>(tag)) {
     case Value::Type::kNull:
-      return Store(io, value, Value::Null());
+      if constexpr (kReading) value = Value::Null();
+      return true;
     case Value::Type::kBool:
       return ValueAs(io, value, !kReading && value.bool_value(), Value::Bool);
     case Value::Type::kInt:
